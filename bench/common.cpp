@@ -1,17 +1,31 @@
 #include "common.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 
+#include "util/error.h"
+
 namespace icn::bench {
 
 double bench_scale() {
-  if (const char* env = std::getenv("ICN_BENCH_SCALE")) {
-    const double scale = std::atof(env);
-    if (scale > 0.0) return scale;
+  const char* env = std::getenv("ICN_BENCH_SCALE");
+  if (env == nullptr) return 1.0;
+  const char* p = env;
+  while (*p == ' ' || *p == '\t') ++p;
+  if (*p == '\0') return 1.0;  // blank, same as unset
+  // Like ICN_THREADS: a typo must fail loudly, not quietly run at some other
+  // scale (atof read "banana" as the full study and "0.5x" as 0.5).
+  char* end = nullptr;
+  const double scale = std::strtod(p, &end);
+  while (end != p && (*end == ' ' || *end == '\t')) ++end;
+  if (end == p || *end != '\0' || !std::isfinite(scale) || !(scale > 0.0)) {
+    throw util::EnvConfigError(std::string("ICN_BENCH_SCALE=\"") + env +
+                               "\" is not a scale (expected a finite positive "
+                               "number, e.g. 0.2; unset = 1.0)");
   }
-  return 1.0;
+  return scale;
 }
 
 core::PipelineParams default_params() {

@@ -12,7 +12,9 @@
 
 namespace icn::bench {
 
-/// Scale factor from ICN_BENCH_SCALE (default 1.0 = the paper's population).
+/// Scale factor from ICN_BENCH_SCALE (default 1.0 = the paper's population;
+/// blank means unset). Throws util::EnvConfigError naming the variable and
+/// the value for anything but a finite positive number.
 [[nodiscard]] double bench_scale();
 
 /// Canonical pipeline parameters used by all benches (seed 2023).

@@ -1,11 +1,11 @@
 // Performance microbenches (google-benchmark) for the core algorithms:
 // Ward NN-chain scaling, silhouette, RCA/RSCA transform throughput,
 // random-forest training, TreeSHAP vs KernelSHAP per explanation, the
-// probe-path aggregation throughput, the per-level SIMD kernels (distance,
-// x4 row-batched distance, RSCA row, labeled sums — including the opt-in
-// avx2fma lane), the tiled condensed-distance sweep, scratch-arena vs heap
-// allocation, CRC32C backends, the Hungarian assignment, seasonal batch
-// fitting, and the static-vs-stealing scheduler on a skewed workload. Emits
+// probe-path aggregation throughput, the scalar and AVX2 SIMD kernels
+// (distance, x4 row-batched distance, RSCA row, labeled sums), the tiled
+// condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
+// backends, the Hungarian assignment, seasonal batch fitting, and the
+// static-vs-stealing scheduler on a skewed workload. Emits
 // BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
@@ -251,30 +251,28 @@ void BM_ProbeAggregation(benchmark::State& state) {
 BENCHMARK(BM_ProbeAggregation)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// SIMD lanes: the same kernel at each dispatch level. The curve scalar ->
-// sse2 -> avx2 -> avx512 is the measured value of the runtime dispatch; all
-// non-FMA lanes produce identical bits (tests/ml/test_simd_dispatch.cpp,
-// tests/ml/test_kernels_dispatch.cpp). Level 4 is the opt-in avx2fma lane,
-// parity-checked against its own std::fma scalar reference.
+// SIMD lanes: the same kernel at each dispatch level. The step scalar -> avx2
+// is the measured value of the runtime dispatch; both lanes produce identical
+// bits (tests/ml/test_simd_dispatch.cpp, tests/ml/test_kernels_dispatch.cpp).
+// Every sweep takes args {level}: 0 = scalar, 1 = avx2.
 
-/// True when the per-level detail kernel may run on this CPU. The FMA lane
-/// sits outside the scalar..avx512 order, so it gets its own check.
-bool level_runnable(icn::util::SimdLevel level) {
-  if (level == icn::util::SimdLevel::kAvx2Fma) {
-    return icn::util::max_supported_simd_level() >=
-               icn::util::SimdLevel::kAvx2 &&
-           icn::util::cpu_supports_fma();
+/// The kernel of the level given by the bench argument, or nullptr (with the
+/// run flagged as skipped) when this CPU cannot execute that level.
+template <typename Fn>
+Fn bench_kernel(benchmark::State& state, Fn scalar, Fn avx2) {
+  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
+  if (level > icn::util::max_supported_simd_level()) {
+    state.SkipWithError("SIMD level not supported on this CPU");
+    return nullptr;
   }
-  return level <= icn::util::max_supported_simd_level();
+  state.SetLabel(icn::util::simd_level_name(level));
+  return level == icn::util::SimdLevel::kAvx2 ? avx2 : scalar;
 }
 
-// args: {level}
 void BM_SquaredEuclideanSimd(benchmark::State& state) {
-  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
-  if (!level_runnable(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
+  const auto kernel = bench_kernel(state, ml::detail::squared_euclidean_scalar,
+                                   ml::detail::squared_euclidean_avx2);
+  if (kernel == nullptr) return;
   constexpr std::size_t kDim = 4096;
   icn::util::Rng rng(5);
   std::vector<double> a(kDim), b(kDim);
@@ -283,43 +281,22 @@ void BM_SquaredEuclideanSimd(benchmark::State& state) {
     b[i] = rng.normal();
   }
   for (auto _ : state) {
-    double d = 0.0;
-    switch (level) {
-      case icn::util::SimdLevel::kScalar:
-        d = ml::detail::squared_euclidean_scalar(a.data(), b.data(), kDim);
-        break;
-      case icn::util::SimdLevel::kSse2:
-        d = ml::detail::squared_euclidean_sse2(a.data(), b.data(), kDim);
-        break;
-      case icn::util::SimdLevel::kAvx2:
-        d = ml::detail::squared_euclidean_avx2(a.data(), b.data(), kDim);
-        break;
-      case icn::util::SimdLevel::kAvx512:
-        d = ml::detail::squared_euclidean_avx512(a.data(), b.data(), kDim);
-        break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        d = ml::detail::squared_euclidean_fma(a.data(), b.data(), kDim);
-        break;
-    }
-    benchmark::DoNotOptimize(d);
+    benchmark::DoNotOptimize(kernel(a.data(), b.data(), kDim));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * kDim * sizeof(double)));
-  state.SetLabel(icn::util::simd_level_name(level));
 }
-BENCHMARK(BM_SquaredEuclideanSimd)->DenseRange(0, 4)
+BENCHMARK(BM_SquaredEuclideanSimd)->DenseRange(0, 1)
     ->Unit(benchmark::kNanosecond);
 
 // Row-batched kernel: one query row against 4 consecutive matrix rows, four
 // independent accumulator chains. The win over 4x the single-pair kernel is
 // the add-latency bottleneck breaking, not extra SIMD width.
-// args: {level}
 void BM_SquaredEuclideanX4Simd(benchmark::State& state) {
-  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
-  if (!level_runnable(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
+  const auto kernel =
+      bench_kernel(state, ml::detail::squared_euclidean_x4_scalar,
+                   ml::detail::squared_euclidean_x4_avx2);
+  if (kernel == nullptr) return;
   constexpr std::size_t kDim = 4096;
   icn::util::Rng rng(5);
   std::vector<double> a(kDim), b(4 * kDim);
@@ -327,46 +304,20 @@ void BM_SquaredEuclideanX4Simd(benchmark::State& state) {
   for (auto& v : b) v = rng.normal();
   double out[4];
   for (auto _ : state) {
-    switch (level) {
-      case icn::util::SimdLevel::kScalar:
-        ml::detail::squared_euclidean_x4_scalar(a.data(), b.data(), kDim,
-                                                kDim, out);
-        break;
-      case icn::util::SimdLevel::kSse2:
-        ml::detail::squared_euclidean_x4_sse2(a.data(), b.data(), kDim, kDim,
-                                              out);
-        break;
-      case icn::util::SimdLevel::kAvx2:
-        ml::detail::squared_euclidean_x4_avx2(a.data(), b.data(), kDim, kDim,
-                                              out);
-        break;
-      case icn::util::SimdLevel::kAvx512:
-        ml::detail::squared_euclidean_x4_avx512(a.data(), b.data(), kDim,
-                                                kDim, out);
-        break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        ml::detail::squared_euclidean_x4_fma(a.data(), b.data(), kDim, kDim,
-                                             out);
-        break;
-    }
+    kernel(a.data(), b.data(), kDim, kDim, out);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(5 * kDim * sizeof(double)));
-  state.SetLabel(icn::util::simd_level_name(level));
 }
-BENCHMARK(BM_SquaredEuclideanX4Simd)->DenseRange(0, 4)
+BENCHMARK(BM_SquaredEuclideanX4Simd)->DenseRange(0, 1)
     ->Unit(benchmark::kNanosecond);
 
-// Fused RSCA row transform per lane. Level 4 uses fnmadd/fmadd and is the
-// one lane allowed to differ in bits.
-// args: {level}
+// Fused RSCA row transform per lane.
 void BM_RscaRowSimd(benchmark::State& state) {
-  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
-  if (!level_runnable(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
+  const auto kernel = bench_kernel(state, ml::detail::rsca_row_scalar,
+                                   ml::detail::rsca_row_avx2);
+  if (kernel == nullptr) return;
   constexpr std::size_t kDim = 4096;
   icn::util::Rng rng(7);
   std::vector<double> t(kDim), s(kDim), out(kDim);
@@ -377,45 +328,19 @@ void BM_RscaRowSimd(benchmark::State& state) {
     total += t[i];
   }
   for (auto _ : state) {
-    switch (level) {
-      case icn::util::SimdLevel::kScalar:
-        ml::detail::rsca_row_scalar(t.data(), s.data(), total, kDim,
-                                    out.data());
-        break;
-      case icn::util::SimdLevel::kSse2:
-        ml::detail::rsca_row_sse2(t.data(), s.data(), total, kDim,
-                                  out.data());
-        break;
-      case icn::util::SimdLevel::kAvx2:
-        ml::detail::rsca_row_avx2(t.data(), s.data(), total, kDim,
-                                  out.data());
-        break;
-      case icn::util::SimdLevel::kAvx512:
-        ml::detail::rsca_row_avx512(t.data(), s.data(), total, kDim,
-                                    out.data());
-        break;
-      case icn::util::SimdLevel::kAvx2Fma:
-        ml::detail::rsca_row_fma(t.data(), s.data(), total, kDim, out.data());
-        break;
-    }
+    kernel(t.data(), s.data(), total, kDim, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kDim));
-  state.SetLabel(icn::util::simd_level_name(level));
 }
-BENCHMARK(BM_RscaRowSimd)->DenseRange(0, 4)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_RscaRowSimd)->DenseRange(0, 1)->Unit(benchmark::kNanosecond);
 
 // Silhouette inner loop: per-cluster masked sums of a distance segment.
-// avx512 forwards to avx2 (compare/blend bound), so levels 3 and 2 should
-// read the same.
-// args: {level}
 void BM_LabeledSumsSimd(benchmark::State& state) {
-  const auto level = static_cast<icn::util::SimdLevel>(state.range(0));
-  if (!level_runnable(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
+  const auto kernel = bench_kernel(state, ml::detail::labeled_sums_scalar,
+                                   ml::detail::labeled_sums_avx2);
+  if (kernel == nullptr) return;
   constexpr std::size_t kDim = 4096;
   constexpr std::size_t kClusters = 9;
   icn::util::Rng rng(11);
@@ -425,32 +350,13 @@ void BM_LabeledSumsSimd(benchmark::State& state) {
   double sums[kClusters];
   for (auto _ : state) {
     for (auto& v : sums) v = 0.0;
-    switch (level) {
-      case icn::util::SimdLevel::kScalar:
-        ml::detail::labeled_sums_scalar(d.data(), labels.data(), kDim,
-                                        kClusters, sums);
-        break;
-      case icn::util::SimdLevel::kSse2:
-        ml::detail::labeled_sums_sse2(d.data(), labels.data(), kDim,
-                                      kClusters, sums);
-        break;
-      case icn::util::SimdLevel::kAvx2:
-      case icn::util::SimdLevel::kAvx2Fma:
-        ml::detail::labeled_sums_avx2(d.data(), labels.data(), kDim,
-                                      kClusters, sums);
-        break;
-      case icn::util::SimdLevel::kAvx512:
-        ml::detail::labeled_sums_avx512(d.data(), labels.data(), kDim,
-                                        kClusters, sums);
-        break;
-    }
+    kernel(d.data(), labels.data(), kDim, kClusters, sums);
     benchmark::DoNotOptimize(sums);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kDim));
-  state.SetLabel(icn::util::simd_level_name(level));
 }
-BENCHMARK(BM_LabeledSumsSimd)->DenseRange(0, 3)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_LabeledSumsSimd)->DenseRange(0, 1)->Unit(benchmark::kNanosecond);
 
 // ---------------------------------------------------------------------------
 // Tiled condensed-distance construction. Every tile size produces

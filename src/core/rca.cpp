@@ -12,7 +12,7 @@ namespace {
 /// Row sums via the dispatched canonical-order kernel, requiring every entry
 /// non-negative and each total positive. The canonical order makes the
 /// totals — and therefore every downstream RSCA value — identical at every
-/// non-FMA ICN_SIMD level.
+/// ICN_SIMD level.
 std::vector<double> positive_row_totals(const ml::Matrix& traffic,
                                         const char* what) {
   std::vector<double> totals(traffic.rows(), 0.0);

@@ -17,11 +17,8 @@ namespace icn::ml {
 // All kernels accumulate in the same canonical 4-lane order: lane k sums the
 // elements i == k (mod 4), the lanes combine as (s0 + s2) + (s1 + s3), and
 // the remaining 0-3 tail elements add sequentially. Fixing one order —
-// instead of matching whatever a serial loop would do — is what lets every
-// vector width and the scalar build produce the same bits. The AVX-512
-// kernels run subtract/multiply 8-wide but fold the two 4-lane halves into
-// the accumulator in element order, so they join the same canonical order
-// rather than inventing an 8-lane one.
+// instead of matching whatever a serial loop would do — is what lets the
+// AVX2 lane and the scalar build produce the same bits.
 
 namespace detail {
 
@@ -55,33 +52,6 @@ void squared_euclidean_x4_scalar(const double* a, const double* b,
   }
 }
 
-// The bits the avx2fma lane must reproduce: the canonical 4-lane structure
-// with each d*d + acc fused into a single rounding via std::fma. Portable
-// scalar code — this is the parity reference for the FMA kernels on any
-// hardware, and the fallback the public entry points never reach (the FMA
-// lane is rejected at resolve time on non-FMA CPUs).
-double squared_euclidean_fma_reference(const double* a, const double* b,
-                                       std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double d0 = a[i] - b[i];
-    const double d1 = a[i + 1] - b[i + 1];
-    const double d2 = a[i + 2] - b[i + 2];
-    const double d3 = a[i + 3] - b[i + 3];
-    s0 = std::fma(d0, d0, s0);
-    s1 = std::fma(d1, d1, s1);
-    s2 = std::fma(d2, d2, s2);
-    s3 = std::fma(d3, d3, s3);
-  }
-  double acc = (s0 + s2) + (s1 + s3);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc = std::fma(d, d, acc);
-  }
-  return acc;
-}
-
 double vector_sum_scalar(const double* xs, std::size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
@@ -97,31 +67,6 @@ double vector_sum_scalar(const double* xs, std::size_t n) {
 }
 
 #if defined(ICN_ML_X86)
-
-__attribute__((target("sse2"))) double squared_euclidean_sse2(const double* a,
-                                                              const double* b,
-                                                              std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd();  // lanes 0, 1
-  __m128d acc23 = _mm_setzero_pd();  // lanes 2, 3
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    const __m128d d23 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-  }
-  alignas(16) double s01[2];
-  alignas(16) double s23[2];
-  _mm_store_pd(s01, acc01);
-  _mm_store_pd(s23, acc23);
-  double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
 
 __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
                                                               const double* b,
@@ -143,59 +88,6 @@ __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
   return total;
 }
 
-// GCC's _mm512_extractf64x4_pd expands through _mm256_undefined_pd, which
-// trips -Wmaybe-uninitialized in the intrinsic header itself; the mask
-// argument is -1 so every lane is written.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-__attribute__((target("avx512f"))) double squared_euclidean_avx512(
-    const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();  // lane k = class k (mod 4)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d d =
-        _mm512_sub_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
-    const __m512d sq = _mm512_mul_pd(d, d);
-    // Fold the halves in element order to stay in the canonical 4-lane order.
-    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(sq));
-    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(sq, 1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    total += d * d;
-  }
-  return total;
-}
-
-__attribute__((target("sse2"))) double vector_sum_sse2(const double* xs,
-                                                       std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_loadu_pd(xs + i));
-    acc23 = _mm_add_pd(acc23, _mm_loadu_pd(xs + i + 2));
-  }
-  alignas(16) double s01[2];
-  alignas(16) double s23[2];
-  _mm_store_pd(s01, acc01);
-  _mm_store_pd(s23, acc23);
-  double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-  for (; i < n; ++i) acc += xs[i];
-  return acc;
-}
-
 __attribute__((target("avx2"))) double vector_sum_avx2(const double* xs,
                                                        std::size_t n) {
   __m256d acc = _mm256_setzero_pd();
@@ -210,26 +102,7 @@ __attribute__((target("avx2"))) double vector_sum_avx2(const double* xs,
   return total;
 }
 
-__attribute__((target("avx512f"))) double vector_sum_avx512(const double* xs,
-                                                            std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(xs + i);
-    acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(v));
-    acc = _mm256_add_pd(acc, _mm512_extractf64x4_pd(v, 1));
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs + i));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) total += xs[i];
-  return total;
-}
-
-// ---- x4 row-batched kernels --------------------------------------------
+// ---- x4 row-batched kernel ----------------------------------------------
 //
 // One query row against four consecutive matrix rows, with four independent
 // accumulator chains. The single-accumulator kernels are bound by the
@@ -237,42 +110,6 @@ __attribute__((target("avx512f"))) double vector_sum_avx512(const double* xs,
 // four chains give the out-of-order core four adds in flight, which is where
 // the condensed-distance speedup comes from. Each chain runs exactly the
 // canonical order, so out[r] is byte-identical to the single-pair kernel.
-
-__attribute__((target("sse2"))) void squared_euclidean_x4_sse2(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m128d acc01[4];
-  __m128d acc23[4];
-  for (int r = 0; r < 4; ++r) {
-    acc01[r] = _mm_setzero_pd();
-    acc23[r] = _mm_setzero_pd();
-  }
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d a01 = _mm_loadu_pd(a + i);
-    const __m128d a23 = _mm_loadu_pd(a + i + 2);
-    for (int r = 0; r < 4; ++r) {
-      const double* br = b + static_cast<std::size_t>(r) * stride;
-      const __m128d d01 = _mm_sub_pd(a01, _mm_loadu_pd(br + i));
-      const __m128d d23 = _mm_sub_pd(a23, _mm_loadu_pd(br + i + 2));
-      acc01[r] = _mm_add_pd(acc01[r], _mm_mul_pd(d01, d01));
-      acc23[r] = _mm_add_pd(acc23[r], _mm_mul_pd(d23, d23));
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(16) double s01[2];
-    alignas(16) double s23[2];
-    _mm_store_pd(s01, acc01[r]);
-    _mm_store_pd(s23, acc23[r]);
-    double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      acc += d * d;
-    }
-    out[r] = acc;
-  }
-}
 
 __attribute__((target("avx2"))) void squared_euclidean_x4_avx2(
     const double* a, const double* b, std::size_t stride, std::size_t n,
@@ -301,215 +138,32 @@ __attribute__((target("avx2"))) void squared_euclidean_x4_avx2(
   }
 }
 
-__attribute__((target("avx512f"))) void squared_euclidean_x4_avx512(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m256d acc[4];
-  for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d av = _mm512_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m512d d = _mm512_sub_pd(
-          av, _mm512_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      const __m512d sq = _mm512_mul_pd(d, d);
-      acc[r] = _mm256_add_pd(acc[r], _mm512_castpd512_pd256(sq));
-      acc[r] = _mm256_add_pd(acc[r], _mm512_extractf64x4_pd(sq, 1));
-    }
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m256d d = _mm256_sub_pd(
-          av, _mm256_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(d, d));
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(32) double s[4];
-    _mm256_store_pd(s, acc[r]);
-    double total = (s[0] + s[2]) + (s[1] + s[3]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      total += d * d;
-    }
-    out[r] = total;
-  }
-}
-
-// ---- opt-in FMA lane ----------------------------------------------------
-
-__attribute__((target("avx2,fma"))) double squared_euclidean_fma(
-    const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    acc = _mm256_fmadd_pd(d, d, acc);
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    total = std::fma(d, d, total);
-  }
-  return total;
-}
-
-__attribute__((target("avx2,fma"))) void squared_euclidean_x4_fma(
-    const double* a, const double* b, std::size_t stride, std::size_t n,
-    double out[4]) {
-  __m256d acc[4];
-  for (int r = 0; r < 4; ++r) acc[r] = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    for (int r = 0; r < 4; ++r) {
-      const __m256d d = _mm256_sub_pd(
-          av, _mm256_loadu_pd(b + static_cast<std::size_t>(r) * stride + i));
-      acc[r] = _mm256_fmadd_pd(d, d, acc[r]);
-    }
-  }
-  for (int r = 0; r < 4; ++r) {
-    const double* br = b + static_cast<std::size_t>(r) * stride;
-    alignas(32) double s[4];
-    _mm256_store_pd(s, acc[r]);
-    double total = (s[0] + s[2]) + (s[1] + s[3]);
-    for (std::size_t t = i; t < n; ++t) {
-      const double d = a[t] - br[t];
-      total = std::fma(d, d, total);
-    }
-    out[r] = total;
-  }
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 #else  // !ICN_ML_X86
 
-// Non-x86 builds: every lane aliases the scalar kernel — dispatch still
-// works, ICN_SIMD levels above scalar are rejected by util::simd_level().
-double squared_euclidean_sse2(const double* a, const double* b,
-                              std::size_t n) {
-  return squared_euclidean_scalar(a, b, n);
-}
+// Non-x86 builds: the avx2 entries alias the scalar kernels — dispatch still
+// works, and ICN_SIMD=avx2 is rejected by util::simd_level().
 double squared_euclidean_avx2(const double* a, const double* b,
                               std::size_t n) {
   return squared_euclidean_scalar(a, b, n);
 }
-double squared_euclidean_avx512(const double* a, const double* b,
-                                std::size_t n) {
-  return squared_euclidean_scalar(a, b, n);
-}
-double vector_sum_sse2(const double* xs, std::size_t n) {
-  return vector_sum_scalar(xs, n);
-}
 double vector_sum_avx2(const double* xs, std::size_t n) {
   return vector_sum_scalar(xs, n);
-}
-double vector_sum_avx512(const double* xs, std::size_t n) {
-  return vector_sum_scalar(xs, n);
-}
-void squared_euclidean_x4_sse2(const double* a, const double* b,
-                               std::size_t stride, std::size_t n,
-                               double out[4]) {
-  squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
 void squared_euclidean_x4_avx2(const double* a, const double* b,
                                std::size_t stride, std::size_t n,
                                double out[4]) {
   squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
-void squared_euclidean_x4_avx512(const double* a, const double* b,
-                                 std::size_t stride, std::size_t n,
-                                 double out[4]) {
-  squared_euclidean_x4_scalar(a, b, stride, n, out);
-}
-double squared_euclidean_fma(const double* a, const double* b, std::size_t n) {
-  return squared_euclidean_fma_reference(a, b, n);
-}
-void squared_euclidean_x4_fma(const double* a, const double* b,
-                              std::size_t stride, std::size_t n,
-                              double out[4]) {
-  for (int r = 0; r < 4; ++r) {
-    out[r] = squared_euclidean_fma_reference(
-        a, b + static_cast<std::size_t>(r) * stride, n);
-  }
-}
 
 #endif  // ICN_ML_X86
 
 }  // namespace detail
 
-namespace {
-
-using SquaredEuclideanFn = double (*)(const double*, const double*,
-                                      std::size_t);
-using SquaredEuclideanX4Fn = void (*)(const double*, const double*,
-                                      std::size_t, std::size_t, double*);
-using VectorSumFn = double (*)(const double*, std::size_t);
-
-SquaredEuclideanFn pick_squared_euclidean() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::squared_euclidean_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::squared_euclidean_sse2;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::squared_euclidean_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::squared_euclidean_avx512;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::squared_euclidean_fma;
-  }
-  return detail::squared_euclidean_scalar;
-}
-
-SquaredEuclideanX4Fn pick_squared_euclidean_x4() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::squared_euclidean_x4_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::squared_euclidean_x4_sse2;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::squared_euclidean_x4_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::squared_euclidean_x4_avx512;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::squared_euclidean_x4_fma;
-  }
-  return detail::squared_euclidean_x4_scalar;
-}
-
-VectorSumFn pick_vector_sum() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::vector_sum_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::vector_sum_sse2;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::vector_sum_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::vector_sum_avx512;
-    case icn::util::SimdLevel::kAvx2Fma:
-      // vector_sum has no multiply-add pairs to fuse; the avx2 kernel IS the
-      // FMA-lane kernel, so sums keep the canonical bits under avx2fma.
-      return detail::vector_sum_avx2;
-  }
-  return detail::vector_sum_scalar;
-}
-
-}  // namespace
-
 double squared_euclidean(std::span<const double> a,
                          std::span<const double> b) {
   ICN_REQUIRE(a.size() == b.size(), "distance dimensions");
-  static const SquaredEuclideanFn kernel = pick_squared_euclidean();
+  static const auto kernel = icn::util::pick_kernel(
+      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
   return kernel(a.data(), b.data(), a.size());
 }
 
@@ -518,7 +172,8 @@ double euclidean(std::span<const double> a, std::span<const double> b) {
 }
 
 double vector_sum(std::span<const double> xs) {
-  static const VectorSumFn kernel = pick_vector_sum();
+  static const auto kernel = icn::util::pick_kernel(detail::vector_sum_scalar,
+                                                    detail::vector_sum_avx2);
   return kernel(xs.data(), xs.size());
 }
 
@@ -529,8 +184,10 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
   ICN_REQUIRE(tile >= 1, "fill_condensed tile must be >= 1");
   ICN_REQUIRE(out.size() == n * (n - 1) / 2, "fill_condensed output length");
   if (n < 2) return;
-  static const SquaredEuclideanX4Fn kernel_x4 = pick_squared_euclidean_x4();
-  static const SquaredEuclideanFn kernel = pick_squared_euclidean();
+  static const auto kernel_x4 = icn::util::pick_kernel(
+      detail::squared_euclidean_x4_scalar, detail::squared_euclidean_x4_avx2);
+  static const auto kernel = icn::util::pick_kernel(
+      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
   const double* base = x.data().data();
   double* d = out.data();
   const auto index = [n](std::size_t i, std::size_t j) {
@@ -554,7 +211,9 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
             const std::size_t c1 = std::min(c0 + tile, n);
             for (std::size_t i = r0; i < r1; ++i) {
               const double* ri = base + i * m;
-              double* row_out = d + index(i, i + 1) - (i + 1);
+              // Row i's first stored pair is (i, i+1); pair (i, j) sits
+              // j - (i+1) slots after it.
+              double* row_out = d + index(i, i + 1);
               std::size_t j = std::max(i + 1, c0);
               // Four consecutive columns share one pass over row i via the
               // x4 kernel (independent accumulator chains); each output is
@@ -562,23 +221,24 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
               for (; j + 4 <= c1; j += 4) {
                 double q[4];
                 kernel_x4(ri, base + j * m, m, m, q);
+                double* o = row_out + (j - i - 1);
                 if (squared) {
-                  row_out[j] = q[0];
-                  row_out[j + 1] = q[1];
-                  row_out[j + 2] = q[2];
-                  row_out[j + 3] = q[3];
+                  o[0] = q[0];
+                  o[1] = q[1];
+                  o[2] = q[2];
+                  o[3] = q[3];
                 } else {
                   // sqrt is correctly rounded, so taking it here (instead of
                   // inside each kernel) cannot change bits.
-                  row_out[j] = std::sqrt(q[0]);
-                  row_out[j + 1] = std::sqrt(q[1]);
-                  row_out[j + 2] = std::sqrt(q[2]);
-                  row_out[j + 3] = std::sqrt(q[3]);
+                  o[0] = std::sqrt(q[0]);
+                  o[1] = std::sqrt(q[1]);
+                  o[2] = std::sqrt(q[2]);
+                  o[3] = std::sqrt(q[3]);
                 }
               }
               for (; j < c1; ++j) {
                 const double q = kernel(ri, base + j * m, m);
-                row_out[j] = squared ? q : std::sqrt(q);
+                row_out[j - i - 1] = squared ? q : std::sqrt(q);
               }
             }
           }

@@ -2,29 +2,18 @@
 // matrix used by the clustering and cluster-validity code.
 //
 // The hot kernels (squared_euclidean, vector_sum) are runtime-dispatched over
-// scalar / SSE2 / AVX2 / AVX-512 lanes (util/simd.h: cpuid probe at first
-// use, ICN_SIMD override). Every lane accumulates in the SAME canonical
-// 4-lane order — lane k sums elements i == k (mod 4), lanes combine as
-// (s0 + s2) + (s1 + s3), the 0-3 tail elements add sequentially — so widening
-// the vectors changes speed, never bits: ICN_SIMD=scalar output is
-// byte-identical to the widest available lane. (The AVX-512 lanes run the
-// element-wise subtract/multiply 8-wide but fold into a 4-lane accumulator in
-// element order, which is what preserves the canonical order.)
+// a scalar and an AVX2 lane (util/simd.h: cpuid probe at first use, ICN_SIMD
+// override). Both lanes accumulate in the SAME canonical 4-lane order — lane
+// k sums elements i == k (mod 4), lanes combine as (s0 + s2) + (s1 + s3), the
+// 0-3 tail elements add sequentially — so the vector lane changes speed,
+// never bits: ICN_SIMD=scalar output is byte-identical to ICN_SIMD=avx2.
 //
-// Two extensions on top of that contract:
-//
-//   - x4 row-batched kernels compute one query row against four consecutive
-//     matrix rows with four independent accumulator chains. Per output they
-//     run exactly the canonical order, so each of the four results is
-//     byte-identical to the single-pair kernel — the batching exists to break
-//     the add-latency dependency chain that bounds the single-accumulator
-//     kernels, not to change the math.
-//
-//   - The opt-in FMA lane (ICN_SIMD=avx2fma; see util/simd.h) fuses each
-//     d*d + acc into one rounding. That is a DIFFERENT canonical order —
-//     same lane structure, fused multiply-adds — so it is never auto-
-//     selected, and its parity reference is squared_euclidean_fma_reference
-//     (std::fma in the canonical 4-lane order), not the plain scalar kernel.
+// The x4 row-batched kernels compute one query row against four consecutive
+// matrix rows with four independent accumulator chains. Per output they run
+// exactly the canonical order, so each of the four results is byte-identical
+// to the single-pair kernel — the batching exists to break the add-latency
+// dependency chain that bounds the single-accumulator kernels, not to change
+// the math.
 #pragma once
 
 #include <cstddef>
@@ -53,21 +42,15 @@ namespace icn::ml {
 namespace detail {
 
 // Per-level kernels, exposed for the bit-exactness parity tests and the
-// SIMD benches. The wide variants must only be called when the CPU supports
-// the level (util::max_supported_simd_level()); on non-x86 builds they all
-// alias the scalar kernel.
+// SIMD benches. The avx2 kernels must only be called when the CPU supports
+// AVX2 (util::max_supported_simd_level()); on non-x86 builds they alias the
+// scalar kernels.
 [[nodiscard]] double squared_euclidean_scalar(const double* a, const double* b,
                                               std::size_t n);
-[[nodiscard]] double squared_euclidean_sse2(const double* a, const double* b,
-                                            std::size_t n);
 [[nodiscard]] double squared_euclidean_avx2(const double* a, const double* b,
                                             std::size_t n);
-[[nodiscard]] double squared_euclidean_avx512(const double* a, const double* b,
-                                              std::size_t n);
 [[nodiscard]] double vector_sum_scalar(const double* xs, std::size_t n);
-[[nodiscard]] double vector_sum_sse2(const double* xs, std::size_t n);
 [[nodiscard]] double vector_sum_avx2(const double* xs, std::size_t n);
-[[nodiscard]] double vector_sum_avx512(const double* xs, std::size_t n);
 
 // Row-batched variants: distances from `a` to the four rows starting at `b`
 // with `stride` doubles between row starts. out[r] is byte-identical to the
@@ -75,28 +58,9 @@ namespace detail {
 void squared_euclidean_x4_scalar(const double* a, const double* b,
                                  std::size_t stride, std::size_t n,
                                  double out[4]);
-void squared_euclidean_x4_sse2(const double* a, const double* b,
-                               std::size_t stride, std::size_t n,
-                               double out[4]);
 void squared_euclidean_x4_avx2(const double* a, const double* b,
                                std::size_t stride, std::size_t n,
                                double out[4]);
-void squared_euclidean_x4_avx512(const double* a, const double* b,
-                                 std::size_t stride, std::size_t n,
-                                 double out[4]);
-
-// Opt-in FMA lane (ICN_SIMD=avx2fma). The vector kernels must only run on
-// AVX2+FMA hardware; the _reference kernel is portable scalar code using
-// std::fma in the canonical 4-lane order and defines the bits the FMA lane
-// must reproduce.
-[[nodiscard]] double squared_euclidean_fma_reference(const double* a,
-                                                     const double* b,
-                                                     std::size_t n);
-[[nodiscard]] double squared_euclidean_fma(const double* a, const double* b,
-                                           std::size_t n);
-void squared_euclidean_x4_fma(const double* a, const double* b,
-                              std::size_t stride, std::size_t n,
-                              double out[4]);
 
 }  // namespace detail
 

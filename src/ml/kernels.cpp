@@ -1,7 +1,6 @@
 #include "ml/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/error.h"
@@ -28,16 +27,6 @@ void rsca_row_scalar(const double* t, const double* s, double total,
   for (std::size_t j = 0; j < n; ++j) {
     const double u = total * s[j];
     const double r = (t[j] - u) / (t[j] + u);
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
-void rsca_row_fma_reference(const double* t, const double* s, double total,
-                            std::size_t n, double* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const double num = std::fma(-total, s[j], t[j]);
-    const double den = std::fma(total, s[j], t[j]);
-    const double r = num / den;
     out[j] = s[j] > 0.0 ? r : 0.0;
   }
 }
@@ -122,28 +111,6 @@ void labeled_extrema_scalar(const double* d, const int* labels, int own,
 
 #if defined(ICN_ML_X86)
 
-__attribute__((target("sse2"))) void rsca_row_sse2(const double* t,
-                                                   const double* s,
-                                                   double total,
-                                                   std::size_t n,
-                                                   double* out) {
-  const __m128d vt = _mm_set1_pd(total);
-  const __m128d zero = _mm_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d sv = _mm_loadu_pd(s + j);
-    const __m128d tv = _mm_loadu_pd(t + j);
-    const __m128d u = _mm_mul_pd(vt, sv);
-    const __m128d r = _mm_div_pd(_mm_sub_pd(tv, u), _mm_add_pd(tv, u));
-    _mm_storeu_pd(out + j, _mm_and_pd(r, _mm_cmpgt_pd(sv, zero)));
-  }
-  for (; j < n; ++j) {
-    const double u = total * s[j];
-    const double r = (t[j] - u) / (t[j] + u);
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
 __attribute__((target("avx2"))) void rsca_row_avx2(const double* t,
                                                    const double* s,
                                                    double total,
@@ -167,48 +134,6 @@ __attribute__((target("avx2"))) void rsca_row_avx2(const double* t,
   }
 }
 
-void rsca_row_avx512(const double* t, const double* s, double total,
-                     std::size_t n, double* out) {
-  rsca_row_avx2(t, s, total, n, out);
-}
-
-__attribute__((target("avx2,fma"))) void rsca_row_fma(const double* t,
-                                                      const double* s,
-                                                      double total,
-                                                      std::size_t n,
-                                                      double* out) {
-  const __m256d vt = _mm256_set1_pd(total);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d sv = _mm256_loadu_pd(s + j);
-    const __m256d tv = _mm256_loadu_pd(t + j);
-    const __m256d num = _mm256_fnmadd_pd(vt, sv, tv);  // t - total*s, fused
-    const __m256d den = _mm256_fmadd_pd(vt, sv, tv);   // t + total*s, fused
-    const __m256d r = _mm256_div_pd(num, den);
-    _mm256_storeu_pd(out + j,
-                     _mm256_and_pd(r, _mm256_cmp_pd(sv, zero, _CMP_GT_OQ)));
-  }
-  for (; j < n; ++j) {
-    const double num = std::fma(-total, s[j], t[j]);
-    const double den = std::fma(total, s[j], t[j]);
-    const double r = num / den;
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
-__attribute__((target("sse2"))) void rsca_map_sse2(const double* v,
-                                                   std::size_t n,
-                                                   double* out) {
-  const __m128d one = _mm_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d x = _mm_loadu_pd(v + i);
-    _mm_storeu_pd(out + i, _mm_div_pd(_mm_sub_pd(x, one), _mm_add_pd(x, one)));
-  }
-  for (; i < n; ++i) out[i] = (v[i] - 1.0) / (v[i] + 1.0);
-}
-
 __attribute__((target("avx2"))) void rsca_map_avx2(const double* v,
                                                    std::size_t n,
                                                    double* out) {
@@ -220,56 +145,6 @@ __attribute__((target("avx2"))) void rsca_map_avx2(const double* v,
                      _mm256_div_pd(_mm256_sub_pd(x, one), _mm256_add_pd(x, one)));
   }
   for (; i < n; ++i) out[i] = (v[i] - 1.0) / (v[i] + 1.0);
-}
-
-void rsca_map_avx512(const double* v, std::size_t n, double* out) {
-  rsca_map_avx2(v, n, out);
-}
-
-__attribute__((target("sse2"))) void labeled_sums_sse2(const double* d,
-                                                       const int* labels,
-                                                       std::size_t n,
-                                                       std::size_t k,
-                                                       double* sums) {
-  // Clusters in groups of 4: 8 xmm accumulators (lanes 01/23 per cluster)
-  // plus temporaries fit the 16-register file.
-  for (std::size_t c0 = 0; c0 < k; c0 += 4) {
-    const std::size_t nc = std::min<std::size_t>(4, k - c0);
-    __m128d a01[4];
-    __m128d a23[4];
-    __m128i cv[4];
-    for (std::size_t g = 0; g < nc; ++g) {
-      a01[g] = _mm_setzero_pd();
-      a23[g] = _mm_setzero_pd();
-      cv[g] = _mm_set1_epi32(static_cast<int>(c0 + g));
-    }
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128d d01 = _mm_loadu_pd(d + i);
-      const __m128d d23 = _mm_loadu_pd(d + i + 2);
-      const __m128i lv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(labels + i));
-      for (std::size_t g = 0; g < nc; ++g) {
-        const __m128i eq = _mm_cmpeq_epi32(lv, cv[g]);
-        const __m128d m01 = _mm_castsi128_pd(_mm_unpacklo_epi32(eq, eq));
-        const __m128d m23 = _mm_castsi128_pd(_mm_unpackhi_epi32(eq, eq));
-        a01[g] = _mm_add_pd(a01[g], _mm_and_pd(d01, m01));
-        a23[g] = _mm_add_pd(a23[g], _mm_and_pd(d23, m23));
-      }
-    }
-    for (std::size_t g = 0; g < nc; ++g) {
-      const int ci = static_cast<int>(c0 + g);
-      alignas(16) double s01[2];
-      alignas(16) double s23[2];
-      _mm_store_pd(s01, a01[g]);
-      _mm_store_pd(s23, a23[g]);
-      double acc = (s01[0] + s23[0]) + (s01[1] + s23[1]);
-      for (std::size_t t = i; t < n; ++t) {
-        acc += labels[t] == ci ? d[t] : 0.0;
-      }
-      sums[c0 + g] += acc;
-    }
-  }
 }
 
 __attribute__((target("avx2"))) void labeled_sums_avx2(const double* d,
@@ -311,57 +186,6 @@ __attribute__((target("avx2"))) void labeled_sums_avx2(const double* d,
   }
 }
 
-void labeled_sums_avx512(const double* d, const int* labels, std::size_t n,
-                         std::size_t k, double* sums) {
-  labeled_sums_avx2(d, labels, n, k, sums);
-}
-
-// SSE2 has no blendv; select(a, b, m) = (m & b) | (~m & a).
-__attribute__((target("sse2"))) static inline __m128d sse2_select(
-    __m128d a, __m128d b, __m128d m) {
-  return _mm_or_pd(_mm_and_pd(m, b), _mm_andnot_pd(m, a));
-}
-
-__attribute__((target("sse2"))) void labeled_extrema_sse2(
-    const double* d, const int* labels, int own, std::size_t n,
-    double* min_inter, double* max_diam) {
-  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  __m128d mn01 = inf, mn23 = inf;
-  __m128d mx01 = _mm_setzero_pd(), mx23 = _mm_setzero_pd();
-  const __m128i ov = _mm_set1_epi32(own);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128d d01 = _mm_loadu_pd(d + i);
-    const __m128d d23 = _mm_loadu_pd(d + i + 2);
-    const __m128i eq = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(labels + i)), ov);
-    const __m128d m01 = _mm_castsi128_pd(_mm_unpacklo_epi32(eq, eq));
-    const __m128d m23 = _mm_castsi128_pd(_mm_unpackhi_epi32(eq, eq));
-    mx01 = sse2_select(mx01, d01, _mm_and_pd(m01, _mm_cmplt_pd(mx01, d01)));
-    mx23 = sse2_select(mx23, d23, _mm_and_pd(m23, _mm_cmplt_pd(mx23, d23)));
-    mn01 = sse2_select(mn01, d01, _mm_andnot_pd(m01, _mm_cmplt_pd(d01, mn01)));
-    mn23 = sse2_select(mn23, d23, _mm_andnot_pd(m23, _mm_cmplt_pd(d23, mn23)));
-  }
-  alignas(16) double a[2];
-  alignas(16) double b[2];
-  _mm_store_pd(a, mn01);
-  _mm_store_pd(b, mn23);
-  double mnc = min2(min2(a[0], b[0]), min2(a[1], b[1]));
-  _mm_store_pd(a, mx01);
-  _mm_store_pd(b, mx23);
-  double mxc = max2(max2(a[0], b[0]), max2(a[1], b[1]));
-  for (; i < n; ++i) {
-    const double x = d[i];
-    if (labels[i] == own) {
-      mxc = max2(mxc, x);
-    } else {
-      mnc = min2(mnc, x);
-    }
-  }
-  *min_inter = min2(*min_inter, mnc);
-  *max_diam = max2(*max_diam, mxc);
-}
-
 __attribute__((target("avx2"))) void labeled_extrema_avx2(
     const double* d, const int* labels, int own, std::size_t n,
     double* min_inter, double* max_diam) {
@@ -396,64 +220,24 @@ __attribute__((target("avx2"))) void labeled_extrema_avx2(
   *max_diam = max2(*max_diam, mxc);
 }
 
-void labeled_extrema_avx512(const double* d, const int* labels, int own,
-                            std::size_t n, double* min_inter,
-                            double* max_diam) {
-  labeled_extrema_avx2(d, labels, own, n, min_inter, max_diam);
-}
-
 #else  // !ICN_ML_X86
 
-void rsca_row_sse2(const double* t, const double* s, double total,
-                   std::size_t n, double* out) {
-  rsca_row_scalar(t, s, total, n, out);
-}
+// Non-x86 builds: the avx2 entries alias the scalar kernels — dispatch still
+// works, and ICN_SIMD=avx2 is rejected by util::simd_level().
 void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out) {
   rsca_row_scalar(t, s, total, n, out);
 }
-void rsca_row_avx512(const double* t, const double* s, double total,
-                     std::size_t n, double* out) {
-  rsca_row_scalar(t, s, total, n, out);
-}
-void rsca_row_fma(const double* t, const double* s, double total,
-                  std::size_t n, double* out) {
-  rsca_row_fma_reference(t, s, total, n, out);
-}
-void rsca_map_sse2(const double* v, std::size_t n, double* out) {
-  rsca_map_scalar(v, n, out);
-}
 void rsca_map_avx2(const double* v, std::size_t n, double* out) {
   rsca_map_scalar(v, n, out);
-}
-void rsca_map_avx512(const double* v, std::size_t n, double* out) {
-  rsca_map_scalar(v, n, out);
-}
-void labeled_sums_sse2(const double* d, const int* labels, std::size_t n,
-                       std::size_t k, double* sums) {
-  labeled_sums_scalar(d, labels, n, k, sums);
 }
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,
                        std::size_t k, double* sums) {
   labeled_sums_scalar(d, labels, n, k, sums);
 }
-void labeled_sums_avx512(const double* d, const int* labels, std::size_t n,
-                         std::size_t k, double* sums) {
-  labeled_sums_scalar(d, labels, n, k, sums);
-}
-void labeled_extrema_sse2(const double* d, const int* labels, int own,
-                          std::size_t n, double* min_inter,
-                          double* max_diam) {
-  labeled_extrema_scalar(d, labels, own, n, min_inter, max_diam);
-}
 void labeled_extrema_avx2(const double* d, const int* labels, int own,
                           std::size_t n, double* min_inter,
                           double* max_diam) {
-  labeled_extrema_scalar(d, labels, own, n, min_inter, max_diam);
-}
-void labeled_extrema_avx512(const double* d, const int* labels, int own,
-                            std::size_t n, double* min_inter,
-                            double* max_diam) {
   labeled_extrema_scalar(d, labels, own, n, min_inter, max_diam);
 }
 
@@ -461,104 +245,35 @@ void labeled_extrema_avx512(const double* d, const int* labels, int own,
 
 }  // namespace detail
 
-namespace {
-
-using RscaRowFn = void (*)(const double*, const double*, double, std::size_t,
-                           double*);
-using RscaMapFn = void (*)(const double*, std::size_t, double*);
-using LabeledSumsFn = void (*)(const double*, const int*, std::size_t,
-                               std::size_t, double*);
-using LabeledExtremaFn = void (*)(const double*, const int*, int, std::size_t,
-                                  double*, double*);
-
-RscaRowFn pick_rsca_row() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::rsca_row_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::rsca_row_sse2;
-    case icn::util::SimdLevel::kAvx2:
-      return detail::rsca_row_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::rsca_row_avx512;
-    case icn::util::SimdLevel::kAvx2Fma:
-      return detail::rsca_row_fma;
-  }
-  return detail::rsca_row_scalar;
-}
-
-RscaMapFn pick_rsca_map() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::rsca_map_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::rsca_map_sse2;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // no multiply-add pairs to fuse
-      return detail::rsca_map_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::rsca_map_avx512;
-  }
-  return detail::rsca_map_scalar;
-}
-
-LabeledSumsFn pick_labeled_sums() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::labeled_sums_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::labeled_sums_sse2;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // no multiply-add pairs to fuse
-      return detail::labeled_sums_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::labeled_sums_avx512;
-  }
-  return detail::labeled_sums_scalar;
-}
-
-LabeledExtremaFn pick_labeled_extrema() {
-  switch (icn::util::simd_level()) {
-    case icn::util::SimdLevel::kScalar:
-      return detail::labeled_extrema_scalar;
-    case icn::util::SimdLevel::kSse2:
-      return detail::labeled_extrema_sse2;
-    case icn::util::SimdLevel::kAvx2:
-    case icn::util::SimdLevel::kAvx2Fma:  // compare/blend only, nothing fused
-      return detail::labeled_extrema_avx2;
-    case icn::util::SimdLevel::kAvx512:
-      return detail::labeled_extrema_avx512;
-  }
-  return detail::labeled_extrema_scalar;
-}
-
-}  // namespace
-
 void rsca_row(std::span<const double> traffic, std::span<const double> shares,
               double row_total, std::span<double> out) {
   ICN_REQUIRE(traffic.size() == shares.size() && traffic.size() == out.size(),
               "rsca_row extents");
-  static const RscaRowFn kernel = pick_rsca_row();
+  static const auto kernel = icn::util::pick_kernel(detail::rsca_row_scalar,
+                                                    detail::rsca_row_avx2);
   kernel(traffic.data(), shares.data(), row_total, traffic.size(), out.data());
 }
 
 void rsca_map(std::span<const double> rca, std::span<double> out) {
   ICN_REQUIRE(rca.size() == out.size(), "rsca_map extents");
-  static const RscaMapFn kernel = pick_rsca_map();
+  static const auto kernel = icn::util::pick_kernel(detail::rsca_map_scalar,
+                                                    detail::rsca_map_avx2);
   kernel(rca.data(), rca.size(), out.data());
 }
 
 void labeled_sums(std::span<const double> d, std::span<const int> labels,
                   std::size_t k, double* sums) {
   ICN_REQUIRE(d.size() == labels.size(), "labeled_sums extents");
-  static const LabeledSumsFn kernel = pick_labeled_sums();
+  static const auto kernel = icn::util::pick_kernel(
+      detail::labeled_sums_scalar, detail::labeled_sums_avx2);
   kernel(d.data(), labels.data(), d.size(), k, sums);
 }
 
 void labeled_extrema(std::span<const double> d, std::span<const int> labels,
                      int own, double* min_inter, double* max_diam) {
   ICN_REQUIRE(d.size() == labels.size(), "labeled_extrema extents");
-  static const LabeledExtremaFn kernel = pick_labeled_extrema();
+  static const auto kernel = icn::util::pick_kernel(
+      detail::labeled_extrema_scalar, detail::labeled_extrema_avx2);
   kernel(d.data(), labels.data(), own, d.size(), min_inter, max_diam);
 }
 

@@ -16,17 +16,14 @@
 //     same-label vs cross-label, the Dunn building block.
 //
 // Determinism: rsca_row and rsca_map are purely element-wise (every output
-// element is a fixed expression of the corresponding inputs), so all lanes
+// element is a fixed expression of the corresponding inputs), so both lanes
 // produce identical bits by IEEE semantics alone. labeled_sums accumulates
 // per cluster in the canonical 4-lane order of ml/distance.h, with the
 // conditional add defined as `acc += (label == c ? d : 0.0)` per lane slot.
 // labeled_extrema uses `acc = (acc < x) ? x : acc` / `(x < acc) ? x : acc`
 // per lane slot (NaN keeps the accumulator, like the scalar comparison) and
-// combines lanes as (l0 op l2) op (l1 op l3). Every non-FMA lane is
-// byte-identical; the opt-in avx2fma lane fuses T*s_j into the adjacent
-// add/subtract for rsca_row (its parity reference is rsca_row_fma_reference)
-// and falls back to the avx2 kernels everywhere else, since the other
-// kernels contain no multiply-add pairs to fuse.
+// combines lanes as (l0 op l2) op (l1 op l3). The scalar and AVX2 lanes are
+// byte-identical.
 #pragma once
 
 #include <cstddef>
@@ -57,51 +54,27 @@ void labeled_extrema(std::span<const double> d, std::span<const int> labels,
 
 namespace detail {
 
-// Per-level kernels, exposed for the bit-parity suites and SIMD benches.
-// Wide variants must only run on hardware supporting the level; on non-x86
-// builds they alias the scalar kernels. The avx512 entries forward to the
-// avx2 kernels: these loops are compare/blend/divide bound, where 512-bit
-// vectors buy nothing on this data shape, and the dispatch seam keeps the
-// option open without a third code path.
+// Per-level kernels, exposed for the bit-parity suites and SIMD benches. The
+// avx2 kernels must only run on AVX2 hardware; on non-x86 builds they alias
+// the scalar kernels.
 void rsca_row_scalar(const double* t, const double* s, double total,
                      std::size_t n, double* out);
-void rsca_row_sse2(const double* t, const double* s, double total,
-                   std::size_t n, double* out);
 void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out);
-void rsca_row_avx512(const double* t, const double* s, double total,
-                     std::size_t n, double* out);
-/// Scalar reference for the FMA lane: std::fma(-total, s, t) numerator and
-/// std::fma(total, s, t) denominator. Defines the bits rsca_row_fma must hit.
-void rsca_row_fma_reference(const double* t, const double* s, double total,
-                            std::size_t n, double* out);
-void rsca_row_fma(const double* t, const double* s, double total,
-                  std::size_t n, double* out);
 
 void rsca_map_scalar(const double* v, std::size_t n, double* out);
-void rsca_map_sse2(const double* v, std::size_t n, double* out);
 void rsca_map_avx2(const double* v, std::size_t n, double* out);
-void rsca_map_avx512(const double* v, std::size_t n, double* out);
 
 void labeled_sums_scalar(const double* d, const int* labels, std::size_t n,
                          std::size_t k, double* sums);
-void labeled_sums_sse2(const double* d, const int* labels, std::size_t n,
-                       std::size_t k, double* sums);
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,
                        std::size_t k, double* sums);
-void labeled_sums_avx512(const double* d, const int* labels, std::size_t n,
-                         std::size_t k, double* sums);
 
 void labeled_extrema_scalar(const double* d, const int* labels, int own,
                             std::size_t n, double* min_inter,
                             double* max_diam);
-void labeled_extrema_sse2(const double* d, const int* labels, int own,
-                          std::size_t n, double* min_inter, double* max_diam);
 void labeled_extrema_avx2(const double* d, const int* labels, int own,
                           std::size_t n, double* min_inter, double* max_diam);
-void labeled_extrema_avx512(const double* d, const int* labels, int own,
-                            std::size_t n, double* min_inter,
-                            double* max_diam);
 
 }  // namespace detail
 

@@ -131,8 +131,8 @@ std::vector<Dendrogram::RawMerge> ward_nn_chain(const Matrix& x) {
   raw.reserve(n - 1);
 
   auto ward_d2 = [&](std::size_t a, std::size_t b) {
-    // Dispatched kernel (scalar/SSE2/AVX2/AVX-512); every lane accumulates in
-    // the canonical order, so the chain's merge decisions are the same at any
+    // Dispatched kernel (scalar/AVX2); both lanes accumulate in the
+    // canonical order, so the chain's merge decisions are the same at either
     // ICN_SIMD level.
     const double cd = squared_euclidean({centroid.data() + a * m, m},
                                         {centroid.data() + b * m, m});

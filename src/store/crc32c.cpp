@@ -1,6 +1,7 @@
 #include "store/crc32c.h"
 
 #include <array>
+#include <cstdlib>
 #include <cstring>
 
 #include "util/simd.h"
@@ -122,8 +123,13 @@ using Crc32cFn = std::uint32_t (*)(std::uint32_t, std::span<const std::uint8_t>)
 
 bool use_hw_crc32c() {
   // ICN_SIMD=scalar pins the portable path; any other setting (or unset)
-  // takes the hardware instruction whenever the CPU has SSE4.2.
-  return icn::util::simd_level() != icn::util::SimdLevel::kScalar &&
+  // takes the hardware instruction whenever the CPU has SSE4.2 — also on x86
+  // hosts without AVX2, where simd_level() itself resolves to kScalar. The
+  // simd_level() call validates ICN_SIMD, so a malformed value throws here
+  // as it does in the analysis kernels.
+  (void)icn::util::simd_level();
+  return icn::util::parse_simd_level(std::getenv("ICN_SIMD")) !=
+             icn::util::SimdLevel::kScalar &&
          icn::util::cpu_supports_crc32c();
 }
 

@@ -12,36 +12,14 @@
 namespace icn::util {
 
 const char* simd_level_name(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kAvx512:
-      return "avx512";
-    case SimdLevel::kAvx2Fma:
-      return "avx2fma";
-  }
-  return "?";
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdLevel max_supported_simd_level() {
 #if defined(ICN_SIMD_X86)
-  if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
 #endif
   return SimdLevel::kScalar;
-}
-
-bool cpu_supports_fma() {
-#if defined(ICN_SIMD_X86)
-  return __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
 }
 
 std::optional<SimdLevel> parse_simd_level(const char* value) {
@@ -53,30 +31,15 @@ std::optional<SimdLevel> parse_simd_level(const char* value) {
   }
   if (v.empty()) return std::nullopt;
   if (v == "scalar") return SimdLevel::kScalar;
-  if (v == "sse2") return SimdLevel::kSse2;
   if (v == "avx2") return SimdLevel::kAvx2;
-  if (v == "avx512") return SimdLevel::kAvx512;
-  if (v == "avx2fma") return SimdLevel::kAvx2Fma;
   throw EnvConfigError(std::string("ICN_SIMD=\"") + value +
-                       "\" is not a SIMD level (expected scalar, sse2, avx2, "
-                       "avx512, or avx2fma; unset = auto-detect)");
+                       "\" is not a SIMD level (expected one of: scalar, "
+                       "avx2; unset = auto-detect)");
 }
 
 SimdLevel resolve_simd_level(std::optional<SimdLevel> requested,
-                             SimdLevel supported, bool has_fma) {
+                             SimdLevel supported) {
   if (!requested.has_value()) return supported;
-  if (*requested == SimdLevel::kAvx2Fma) {
-    // The FMA lane sits outside the scalar..avx512 total order: it needs
-    // AVX2-class vectors plus the FMA3 cpuid bit, checked independently of
-    // which non-FMA level is widest.
-    if (supported < SimdLevel::kAvx2 || !has_fma) {
-      throw EnvConfigError(
-          "ICN_SIMD=avx2fma requested but this CPU lacks AVX2+FMA (widest "
-          "supported non-FMA level: " +
-          std::string(simd_level_name(supported)) + ")");
-    }
-    return SimdLevel::kAvx2Fma;
-  }
   if (*requested > supported) {
     throw EnvConfigError(std::string("ICN_SIMD=") +
                          simd_level_name(*requested) +
@@ -89,9 +52,8 @@ SimdLevel resolve_simd_level(std::optional<SimdLevel> requested,
 SimdLevel simd_level() {
   // Resolved once; a throwing resolution (garbage or unsupported ICN_SIMD)
   // is retried — and rethrown — on every call, so the error cannot be lost.
-  static const SimdLevel level =
-      resolve_simd_level(parse_simd_level(std::getenv("ICN_SIMD")),
-                         max_supported_simd_level(), cpu_supports_fma());
+  static const SimdLevel level = resolve_simd_level(
+      parse_simd_level(std::getenv("ICN_SIMD")), max_supported_simd_level());
   return level;
 }
 

@@ -2,76 +2,62 @@
 // distances, canonical-order accumulation, RSCA/labeled-sum kernels, hardware
 // CRC32C).
 //
-// The widest instruction set is probed once via cpuid at first use and every
-// kernel dispatches through a function pointer picked from that probe, so one
-// binary runs correctly from a scalar-only container to an AVX-512 server.
-// The ICN_SIMD environment variable pins the lane width for A/B parity tests
-// and benchmarks:
+// Two lanes: the scalar reference, which defines the canonical accumulation
+// order and is the only lane on non-x86 builds, and AVX2. AVX2 support is
+// probed once via cpuid at first use and every kernel dispatches through a
+// function pointer picked from that probe. The ICN_SIMD environment variable
+// pins the lane for A/B parity tests and benchmarks:
 //
-//   ICN_SIMD=scalar | sse2 | avx2 | avx512 | avx2fma
+//   ICN_SIMD=scalar | avx2
 //
-// A garbage value, or a level the CPU cannot execute, throws
-// icn::util::EnvConfigError at first use — configuration typos fail loudly
-// instead of silently benchmarking the wrong kernel. Every non-FMA lane
-// preserves the same canonical accumulation order (see ml/distance.h), so
-// those ICN_SIMD values change speed, never bits.
-//
-// `avx2fma` is the exception and is therefore strictly opt-in: it fuses
-// multiply+add pairs into FMAs, which rounds once instead of twice and
-// produces different (usually slightly more accurate) bits. Auto-detection
-// NEVER selects it — an unset ICN_SIMD resolves to the widest non-FMA lane
-// even on FMA-capable hardware — and requesting it on hardware without
-// AVX2+FMA throws EnvConfigError. The FMA lane has its own re-baselined
-// scalar reference (std::fma in the canonical order) that the parity tests
-// compare against; see DESIGN.md §6.2.
+// A garbage value (including the names of the retired SSE2, AVX-512 and FMA
+// lanes), or avx2 on a CPU without it, throws icn::util::EnvConfigError at
+// first use — configuration typos fail loudly instead of silently
+// benchmarking the wrong kernel. Both lanes keep the same canonical
+// accumulation order (see ml/distance.h), so ICN_SIMD changes speed, never
+// bits.
 #pragma once
 
 #include <optional>
 
 namespace icn::util {
 
-/// Kernel lanes. kScalar..kAvx512 are orderable: a CPU supporting level L
-/// supports all levels below it (AVX-512-capable hardware always has AVX2 and
-/// SSE2). kAvx2Fma sits outside that total order — it is the opt-in fused
-/// multiply-add variant of kAvx2 and is gated separately on the FMA cpuid
-/// bit, never chosen by auto-detection.
+/// Kernel lanes, ordered: a CPU supporting kAvx2 also runs kScalar.
 enum class SimdLevel {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-  kAvx2Fma = 4,
+  kAvx2 = 1,
 };
 
-/// Lower-case canonical name ("scalar", "sse2", "avx2", "avx512", "avx2fma").
+/// Lower-case canonical name ("scalar", "avx2").
 [[nodiscard]] const char* simd_level_name(SimdLevel level);
 
-/// Widest *non-FMA* level this CPU can execute, probed via cpuid. kScalar on
-/// non-x86 builds. Never returns kAvx2Fma: the FMA lane changes bits and must
-/// be requested explicitly.
+/// kAvx2 when cpuid reports AVX2, else kScalar (always kScalar on non-x86
+/// builds).
 [[nodiscard]] SimdLevel max_supported_simd_level();
 
-/// True when the CPU has the FMA3 instructions (vfmadd*). Probed separately:
-/// the FMA lane additionally requires AVX2.
-[[nodiscard]] bool cpu_supports_fma();
-
 /// Parses an ICN_SIMD-style value: nullopt when unset/blank (auto-detect),
-/// the level for one of the five canonical names (case-insensitive), and
-/// EnvConfigError for anything else.
+/// the level for "scalar" or "avx2" (case-insensitive), and EnvConfigError
+/// for anything else.
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(const char* value);
 
-/// Pure resolution policy, exposed so the hardware-dependent rejection paths
-/// are testable on any machine: returns `supported` when nothing was
+/// Pure resolution policy, exposed so the hardware-dependent rejection path
+/// is testable on any machine: returns `supported` when nothing was
 /// requested; throws EnvConfigError (naming ICN_SIMD and the offending value)
-/// when the request exceeds `supported`, or when kAvx2Fma is requested and
-/// the CPU lacks AVX2 or FMA.
+/// when the request exceeds `supported`.
 [[nodiscard]] SimdLevel resolve_simd_level(std::optional<SimdLevel> requested,
-                                           SimdLevel supported, bool has_fma);
+                                           SimdLevel supported);
 
 /// The level the dispatched kernels run at: ICN_SIMD when set (EnvConfigError
 /// if it is garbage or exceeds what the CPU supports), else the probed
-/// non-FMA maximum. Resolved once and cached for the process lifetime.
+/// maximum. Resolved once and cached for the process lifetime.
 [[nodiscard]] SimdLevel simd_level();
+
+/// The kernel a dispatched entry point binds: `avx2` when simd_level() is
+/// kAvx2, else `scalar`.
+template <typename Fn>
+[[nodiscard]] Fn pick_kernel(Fn scalar, Fn avx2) {
+  return simd_level() == SimdLevel::kAvx2 ? avx2 : scalar;
+}
 
 /// True when the CPU has SSE4.2 (the crc32 instruction). Probed separately
 /// from SimdLevel because CRC32C is an integer-lane feature, but the store's

@@ -1,9 +1,9 @@
-// Bit-parity suites for the PR's new dispatched kernels: the fused RSCA
+// Bit-parity suites for the dispatched analysis kernels: the fused RSCA
 // transform, the silhouette/Dunn segment kernels, the x4 row-batched
-// distance kernel, the opt-in FMA lane (against its own std::fma reference),
-// and the tiled condensed-distance builder (byte-identical at every tile
-// size and thread count). Mirrors tests/ml/test_simd_dispatch.cpp: lengths
-// 0..67 sweep every tail path, plus unaligned and NaN/Inf inputs.
+// distance kernel, and the tiled condensed-distance builder (byte-identical
+// at every tile size and thread count). Mirrors
+// tests/ml/test_simd_dispatch.cpp: lengths 0..67 sweep every tail path, plus
+// unaligned and NaN/Inf inputs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -30,94 +30,50 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 std::vector<SimdLevel> runnable_levels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  const SimdLevel max = icn::util::max_supported_simd_level();
-  if (max >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (max >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (max >= SimdLevel::kAvx512) levels.push_back(SimdLevel::kAvx512);
+  if (icn::util::max_supported_simd_level() == SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
   return levels;
-}
-
-bool fma_lane_runnable() {
-  return icn::util::max_supported_simd_level() >= SimdLevel::kAvx2 &&
-         icn::util::cpu_supports_fma();
 }
 
 void run_rsca_row(SimdLevel level, const double* t, const double* s,
                   double total, std::size_t n, double* out) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::rsca_row_scalar(t, s, total, n, out);
-    case SimdLevel::kSse2:
-      return detail::rsca_row_sse2(t, s, total, n, out);
-    case SimdLevel::kAvx2:
-      return detail::rsca_row_avx2(t, s, total, n, out);
-    case SimdLevel::kAvx512:
-      return detail::rsca_row_avx512(t, s, total, n, out);
-    case SimdLevel::kAvx2Fma:
-      return detail::rsca_row_fma(t, s, total, n, out);
+  if (level == SimdLevel::kAvx2) {
+    return detail::rsca_row_avx2(t, s, total, n, out);
   }
+  detail::rsca_row_scalar(t, s, total, n, out);
 }
 
 void run_rsca_map(SimdLevel level, const double* v, std::size_t n,
                   double* out) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::rsca_map_scalar(v, n, out);
-    case SimdLevel::kSse2:
-      return detail::rsca_map_sse2(v, n, out);
-    case SimdLevel::kAvx2:
-      return detail::rsca_map_avx2(v, n, out);
-    case SimdLevel::kAvx512:
-      return detail::rsca_map_avx512(v, n, out);
-    case SimdLevel::kAvx2Fma:
-      return detail::rsca_map_avx2(v, n, out);
+  if (level == SimdLevel::kAvx2) {
+    return detail::rsca_map_avx2(v, n, out);
   }
+  detail::rsca_map_scalar(v, n, out);
 }
 
 void run_labeled_sums(SimdLevel level, const double* d, const int* labels,
                       std::size_t n, std::size_t k, double* sums) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::labeled_sums_scalar(d, labels, n, k, sums);
-    case SimdLevel::kSse2:
-      return detail::labeled_sums_sse2(d, labels, n, k, sums);
-    case SimdLevel::kAvx2:
-    case SimdLevel::kAvx2Fma:
-      return detail::labeled_sums_avx2(d, labels, n, k, sums);
-    case SimdLevel::kAvx512:
-      return detail::labeled_sums_avx512(d, labels, n, k, sums);
+  if (level == SimdLevel::kAvx2) {
+    return detail::labeled_sums_avx2(d, labels, n, k, sums);
   }
+  detail::labeled_sums_scalar(d, labels, n, k, sums);
 }
 
 void run_labeled_extrema(SimdLevel level, const double* d, const int* labels,
                          int own, std::size_t n, double* mn, double* mx) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::labeled_extrema_scalar(d, labels, own, n, mn, mx);
-    case SimdLevel::kSse2:
-      return detail::labeled_extrema_sse2(d, labels, own, n, mn, mx);
-    case SimdLevel::kAvx2:
-    case SimdLevel::kAvx2Fma:
-      return detail::labeled_extrema_avx2(d, labels, own, n, mn, mx);
-    case SimdLevel::kAvx512:
-      return detail::labeled_extrema_avx512(d, labels, own, n, mn, mx);
+  if (level == SimdLevel::kAvx2) {
+    return detail::labeled_extrema_avx2(d, labels, own, n, mn, mx);
   }
+  detail::labeled_extrema_scalar(d, labels, own, n, mn, mx);
 }
 
 void run_x4(SimdLevel level, const double* a, const double* b,
             std::size_t stride, std::size_t n, double out[4]) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::squared_euclidean_x4_scalar(a, b, stride, n, out);
-    case SimdLevel::kSse2:
-      return detail::squared_euclidean_x4_sse2(a, b, stride, n, out);
-    case SimdLevel::kAvx2:
-      return detail::squared_euclidean_x4_avx2(a, b, stride, n, out);
-    case SimdLevel::kAvx512:
-      return detail::squared_euclidean_x4_avx512(a, b, stride, n, out);
-    case SimdLevel::kAvx2Fma:
-      return detail::squared_euclidean_x4_fma(a, b, stride, n, out);
+  if (level == SimdLevel::kAvx2) {
+    return detail::squared_euclidean_x4_avx2(a, b, stride, n, out);
   }
+  detail::squared_euclidean_x4_scalar(a, b, stride, n, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -298,50 +254,6 @@ TEST(KernelsDispatchTest, X4MatchesFourSingleKernelCallsOnEveryLane) {
             << "x4 level " << icn::util::simd_level_name(level) << " n " << n
             << " row " << r;
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FMA lane: parity against its own re-baselined scalar reference
-
-TEST(KernelsDispatchTest, FmaKernelsMatchTheirFmaReferenceBitForBit) {
-  if (!fma_lane_runnable()) {
-    GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  }
-  icn::util::Rng rng(829);
-  for (std::size_t n = 0; n <= 67; ++n) {
-    std::vector<double> t(n), s(n), a(n), ref(n), got(n);
-    const std::size_t stride = n + 1;
-    std::vector<double> b(4 * stride);
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      t[i] = std::abs(rng.normal()) + 0.01;
-      s[i] = (i % 7 == 0) ? 0.0 : std::abs(rng.normal());
-      a[i] = rng.normal() * std::pow(10.0, rng.uniform(-5.0, 5.0));
-      total += t[i];
-    }
-    for (auto& x : b) x = rng.normal();
-    total = std::max(total, 1e-9);
-
-    detail::rsca_row_fma_reference(t.data(), s.data(), total, n, ref.data());
-    detail::rsca_row_fma(t.data(), s.data(), total, n, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits(ref[i]), bits(got[i])) << "rsca_row_fma n " << n;
-    }
-
-    const double dref =
-        detail::squared_euclidean_fma_reference(a.data(), b.data(), n);
-    ASSERT_EQ(bits(dref),
-              bits(detail::squared_euclidean_fma(a.data(), b.data(), n)))
-        << "squared_euclidean_fma n " << n;
-    double q[4];
-    detail::squared_euclidean_x4_fma(a.data(), b.data(), stride, n, q);
-    for (std::size_t r = 0; r < 4; ++r) {
-      ASSERT_EQ(bits(detail::squared_euclidean_fma_reference(
-                    a.data(), b.data() + r * stride, n)),
-                bits(q[r]))
-          << "x4_fma n " << n << " row " << r;
     }
   }
 }

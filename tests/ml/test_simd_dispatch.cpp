@@ -1,7 +1,7 @@
-// Bit-exactness parity of the runtime-dispatched SIMD lanes: every lane the
-// CPU can execute must produce byte-identical results to the scalar kernel —
-// over odd lengths, unaligned pointers, and NaN/Inf inputs — plus the
-// ICN_SIMD env parsing contract.
+// Bit-exactness parity of the runtime-dispatched SIMD lanes: the AVX2 lane,
+// when the CPU can execute it, must produce byte-identical results to the
+// scalar kernel — over odd lengths, unaligned pointers, and NaN/Inf inputs —
+// plus the ICN_SIMD env parsing contract.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -27,44 +27,25 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// The per-level kernels runnable on this CPU, scalar first.
 std::vector<SimdLevel> runnable_levels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  const SimdLevel max = icn::util::max_supported_simd_level();
-  if (max >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (max >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  if (max >= SimdLevel::kAvx512) levels.push_back(SimdLevel::kAvx512);
+  if (icn::util::max_supported_simd_level() == SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
   return levels;
 }
 
 double run_squared_euclidean(SimdLevel level, const double* a, const double* b,
                              std::size_t n) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::squared_euclidean_scalar(a, b, n);
-    case SimdLevel::kSse2:
-      return detail::squared_euclidean_sse2(a, b, n);
-    case SimdLevel::kAvx2:
-      return detail::squared_euclidean_avx2(a, b, n);
-    case SimdLevel::kAvx512:
-      return detail::squared_euclidean_avx512(a, b, n);
-  }
-  return 0.0;
+  return level == SimdLevel::kAvx2 ? detail::squared_euclidean_avx2(a, b, n)
+                                   : detail::squared_euclidean_scalar(a, b, n);
 }
 
 double run_vector_sum(SimdLevel level, const double* xs, std::size_t n) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return detail::vector_sum_scalar(xs, n);
-    case SimdLevel::kSse2:
-      return detail::vector_sum_sse2(xs, n);
-    case SimdLevel::kAvx2:
-      return detail::vector_sum_avx2(xs, n);
-    case SimdLevel::kAvx512:
-      return detail::vector_sum_avx512(xs, n);
-  }
-  return 0.0;
+  return level == SimdLevel::kAvx2 ? detail::vector_sum_avx2(xs, n)
+                                   : detail::vector_sum_scalar(xs, n);
 }
 
 TEST(SimdDispatchTest, AllLanesBitExactOverEveryShortLength) {
-  // Every length 0..67 hits all tail paths of the 2/4/8-wide loops; values
+  // Every length 0..67 hits all tail paths of the 4-wide loops; values
   // span many orders of magnitude so a reordered accumulation cannot hide in
   // rounding slack.
   icn::util::Rng rng(4242);
@@ -146,7 +127,7 @@ TEST(SimdDispatchTest, NanAndInfPropagateIdentically) {
 TEST(SimdDispatchTest, PublicEntryPointsMatchScalarKernelBitForBit) {
   // Whatever lane this process dispatched to, the public functions must
   // agree with the scalar kernel — the end-to-end form of the parity
-  // guarantee (ICN_SIMD=scalar is byte-identical to the widest lane).
+  // guarantee (ICN_SIMD=scalar is byte-identical to ICN_SIMD=avx2).
   icn::util::Rng rng(31337);
   for (const std::size_t n : {1u, 3u, 7u, 16u, 33u, 128u, 1001u}) {
     std::vector<double> a(n), b(n);
@@ -166,11 +147,9 @@ TEST(SimdLevelTest, ParsesCanonicalNames) {
   EXPECT_EQ(icn::util::parse_simd_level(""), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("  "), std::nullopt);
   EXPECT_EQ(icn::util::parse_simd_level("scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(icn::util::parse_simd_level("SSE2"), SimdLevel::kSse2);
+  EXPECT_EQ(icn::util::parse_simd_level("SCALAR"), SimdLevel::kScalar);
   EXPECT_EQ(icn::util::parse_simd_level(" avx2 "), SimdLevel::kAvx2);
-  EXPECT_EQ(icn::util::parse_simd_level("AVX512"), SimdLevel::kAvx512);
-  EXPECT_EQ(icn::util::parse_simd_level("avx2fma"), SimdLevel::kAvx2Fma);
-  EXPECT_EQ(icn::util::parse_simd_level("AVX2FMA"), SimdLevel::kAvx2Fma);
+  EXPECT_EQ(icn::util::parse_simd_level("AVX2"), SimdLevel::kAvx2);
 }
 
 TEST(SimdLevelTest, GarbageIcnSimdThrowsTypedError) {
@@ -178,82 +157,51 @@ TEST(SimdLevelTest, GarbageIcnSimdThrowsTypedError) {
     EXPECT_THROW((void)icn::util::parse_simd_level(bad), EnvConfigError)
         << bad;
   }
-  try {
-    (void)icn::util::parse_simd_level("turbo");
-    FAIL() << "expected EnvConfigError";
-  } catch (const EnvConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("ICN_SIMD"), std::string::npos);
+  // The retired lane names fail like any other typo, in any letter case:
+  // the message names the variable and the value and lists what is accepted.
+  for (const char* bad : {"turbo", "sse2", "avx512", "AVX2FMA", "Avx512"}) {
+    try {
+      (void)icn::util::parse_simd_level(bad);
+      ADD_FAILURE() << "expected EnvConfigError for " << bad;
+    } catch (const EnvConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+      EXPECT_NE(what.find("scalar, avx2"), std::string::npos) << what;
+    }
   }
 }
 
 TEST(SimdLevelTest, LevelNamesRoundTrip) {
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2,
-        SimdLevel::kAvx512, SimdLevel::kAvx2Fma}) {
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     EXPECT_EQ(icn::util::parse_simd_level(icn::util::simd_level_name(level)),
               level);
   }
 }
 
 TEST(SimdLevelTest, DispatchedLevelIsRunnable) {
-  // kAvx2Fma sits outside the scalar..avx512 order, so it has its own
-  // runnability condition; every other level obeys the total order.
-  if (icn::util::simd_level() == SimdLevel::kAvx2Fma) {
-    EXPECT_GE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2);
-    EXPECT_TRUE(icn::util::cpu_supports_fma());
-  } else {
-    EXPECT_LE(icn::util::simd_level(), icn::util::max_supported_simd_level());
+  EXPECT_LE(icn::util::simd_level(), icn::util::max_supported_simd_level());
+}
+
+TEST(SimdLevelTest, ResolveKeepsTheNonFmaOrderContract) {
+  // Unset resolves to the probed lane; scalar runs anywhere.
+  for (const SimdLevel supported : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, supported),
+              supported);
+    EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar, supported),
+              SimdLevel::kScalar);
   }
-}
-
-TEST(SimdLevelTest, AutoDetectNeverPicksTheFmaLane) {
-  // The FMA lane changes bits, so it must be opt-in: auto-detection (unset
-  // ICN_SIMD) resolves to the widest *non-FMA* level.
-  EXPECT_NE(icn::util::max_supported_simd_level(), SimdLevel::kAvx2Fma);
-  EXPECT_NE(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kAvx512,
-                                          /*has_fma=*/true),
-            SimdLevel::kAvx2Fma);
-}
-
-TEST(SimdLevelTest, ResolveAcceptsFmaLaneOnCapableHardware) {
-  for (const SimdLevel supported : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
-    EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2Fma, supported,
-                                            /*has_fma=*/true),
-              SimdLevel::kAvx2Fma);
-  }
-}
-
-TEST(SimdLevelTest, ResolveRejectsFmaLaneWithoutFmaOrAvx2) {
-  // Missing the FMA cpuid bit: typed error naming the variable and value.
+  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kAvx2),
+            SimdLevel::kAvx2);
+  // avx2 on scalar-only hardware: typed error naming the variable and value.
   try {
-    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                        SimdLevel::kAvx512,
-                                        /*has_fma=*/false);
+    (void)icn::util::resolve_simd_level(SimdLevel::kAvx2, SimdLevel::kScalar);
     FAIL() << "expected EnvConfigError";
   } catch (const EnvConfigError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("ICN_SIMD"), std::string::npos) << what;
-    EXPECT_NE(what.find("avx2fma"), std::string::npos) << what;
+    EXPECT_NE(what.find("avx2"), std::string::npos) << what;
   }
-  // AVX2-class vectors missing entirely: rejected even with the FMA bit.
-  EXPECT_THROW((void)icn::util::resolve_simd_level(SimdLevel::kAvx2Fma,
-                                                   SimdLevel::kSse2,
-                                                   /*has_fma=*/true),
-               EnvConfigError);
-}
-
-TEST(SimdLevelTest, ResolveKeepsTheNonFmaOrderContract) {
-  EXPECT_EQ(icn::util::resolve_simd_level(std::nullopt, SimdLevel::kSse2,
-                                          /*has_fma=*/false),
-            SimdLevel::kSse2);
-  EXPECT_EQ(icn::util::resolve_simd_level(SimdLevel::kScalar,
-                                          SimdLevel::kAvx512,
-                                          /*has_fma=*/true),
-            SimdLevel::kScalar);
-  EXPECT_THROW((void)icn::util::resolve_simd_level(SimdLevel::kAvx512,
-                                                   SimdLevel::kAvx2,
-                                                   /*has_fma=*/true),
-               EnvConfigError);
 }
 
 }  // namespace

@@ -16,10 +16,10 @@ what is compared is "how many units of the reference op does this op cost",
 not raw nanoseconds. Pick a single-threaded, CPU-bound reference
 (Crc32cTable works well) so the unit itself is stable.
 
-Runs present in only one file are reported but tolerated — SIMD-lane benches
-skip (and drop out of the JSON) on hardware without the lane. A pinned op
-losing *all* of its runs is fatal, so an op cannot silently vanish from the
-suite.
+Runs present in only one file are reported but tolerated — the avx2 runs of
+the SIMD-lane benches skip (and drop out of the JSON) on hardware without
+AVX2. A pinned op losing *all* of its runs is fatal, so an op cannot silently
+vanish from the suite.
 """
 import argparse
 import json

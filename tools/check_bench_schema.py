@@ -26,7 +26,7 @@ REQUIRED_RUN = {
     "wall_ns": (int, float),
     "threads": (int, float),
 }
-SIMD_LEVELS = {"scalar", "sse2", "avx2", "avx512", "avx2fma"}
+SIMD_LEVELS = {"scalar", "avx2"}
 CRC_BACKENDS = {"table", "sse4.2"}
 PRESETS = {"full", "smoke"}
 # Optional top-level keys (emitted conditionally, e.g. the single-core
