@@ -26,12 +26,11 @@ class RandomForest {
     std::size_t max_features = 0;
     bool bootstrap = true;              ///< Sample rows with replacement.
     std::uint64_t seed = 42;            ///< Seed for all trees' randomness.
-    /// Per-node scratch source for every member tree (see DecisionTree).
-    DecisionTree::Scratch scratch = DecisionTree::Scratch::kArena;
   };
 
   /// Fits the ensemble. Labels must lie in [0, num_classes).
-  /// Requires x.rows() == y.size(), non-empty data, num_classes >= 1.
+  /// Requires x.rows() == y.size(), non-empty data, finite features and
+  /// num_classes >= 1.
   void fit(const Matrix& x, std::span<const int> y, int num_classes,
            const Params& params);
 
@@ -64,6 +63,10 @@ class RandomForest {
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
   double oob_accuracy_ = 0.0;
+
+  /// Writes predict_proba(x) into `proba` (size num_classes()) without
+  /// allocating.
+  void proba_into(std::span<const double> x, std::span<double> proba) const;
 };
 
 }  // namespace icn::ml

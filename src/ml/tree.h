@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,15 +28,41 @@ struct TreeNode {
   [[nodiscard]] bool is_leaf() const { return feature < 0; }
 };
 
+/// Per-feature dense ranks of a training matrix: the sorted view the split
+/// search reads in place of the matrix. Equal values (-0.0 and +0.0
+/// included) share a rank, ranks run 0 .. levels - 1 in ascending value
+/// order, and a rank → value table maps them back. Read-only once built, so
+/// one table serves every tree of a forest on every pool worker.
+class FeatureRanks {
+ public:
+  /// Ranks every column of x. Requires a non-empty x with fewer than 2^32
+  /// rows and every entry finite (NaN has no place in an order).
+  explicit FeatureRanks(const Matrix& x);
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+
+  /// Rank of every row's value of feature f; size rows().
+  [[nodiscard]] std::span<const std::uint32_t> ranks(std::size_t f) const {
+    return {ranks_.data() + f * rows_, rows_};
+  }
+
+  /// Value of each rank of feature f, ascending; size = its distinct values.
+  [[nodiscard]] std::span<const double> values(std::size_t f) const {
+    return {values_.data() + f * rows_, levels_[f]};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> ranks_;  ///< Column-major, rows_ per feature.
+  std::vector<double> values_;        ///< Rank → value, rows_ per feature.
+  std::vector<std::size_t> levels_;   ///< Distinct values of each feature.
+};
+
 /// CART classifier with Gini impurity splits.
 class DecisionTree {
  public:
-  /// Where build() takes its per-node partition buffers from.
-  /// kArena bump-allocates from this thread's scratch_arena() (a Frame per
-  /// node, zero mallocs in steady state); kHeap keeps the original vector
-  /// path, retained so tests can assert bit-parity between the two.
-  enum class Scratch : std::uint8_t { kArena, kHeap };
-
   /// Training hyper-parameters.
   struct Params {
     std::size_t max_depth = 32;         ///< Maximum tree depth (root = 0).
@@ -44,13 +71,19 @@ class DecisionTree {
     /// Number of features sampled (without replacement) per split;
     /// 0 means "all features". Random forests use ~sqrt(M).
     std::size_t max_features = 0;
-    Scratch scratch = Scratch::kArena;  ///< Per-node buffer source.
   };
 
   /// Fits the tree on rows `sample_idx` of x (all rows when empty).
   /// Labels must lie in [0, num_classes). Duplicated indices (bootstrap
-  /// samples) are allowed. Requires x.rows() == y.size() and non-empty data.
+  /// samples) are allowed. Requires x.rows() == y.size(), non-empty data and
+  /// finite features.
   void fit(const Matrix& x, std::span<const int> y, int num_classes,
+           const Params& params, icn::util::Rng& rng,
+           std::span<const std::size_t> sample_idx = {});
+
+  /// The same fit on a rank table built from x beforehand, so several trees
+  /// can share one (RandomForest does). Produces the same tree as fit(x, ...).
+  void fit(const FeatureRanks& ranks, std::span<const int> y, int num_classes,
            const Params& params, icn::util::Rng& rng,
            std::span<const std::size_t> sample_idx = {});
 
@@ -63,9 +96,10 @@ class DecisionTree {
   /// Number of classes the tree was fitted with.
   [[nodiscard]] int num_classes() const { return num_classes_; }
 
-  /// Class distribution at the leaf x falls into. Requires is_fitted() and
+  /// Class distribution at the leaf x falls into: a reference into the tree,
+  /// valid until the tree is refitted or destroyed. Requires is_fitted() and
   /// x.size() == number of training features.
-  [[nodiscard]] std::vector<double> predict_proba(
+  [[nodiscard]] const std::vector<double>& predict_proba(
       std::span<const double> x) const;
 
   /// Arg-max class of predict_proba.
@@ -83,9 +117,9 @@ class DecisionTree {
   std::size_t num_features_ = 0;
   std::vector<double> importance_;
 
-  int build(const Matrix& x, std::span<const int> y, const Params& params,
-            icn::util::Rng& rng, std::vector<std::size_t>& idx,
-            std::size_t begin, std::size_t end, std::size_t depth);
+  int build(const FeatureRanks& ranks, std::span<const int> y,
+            const Params& params, icn::util::Rng& rng,
+            std::span<std::uint32_t> idx, std::size_t depth);
 };
 
 }  // namespace icn::ml

@@ -1,5 +1,6 @@
 #include "ml/treeshap.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -80,26 +81,58 @@ void unwind(Path& m, std::size_t i) {
   --m.size;
 }
 
-/// Sum of the weights unwind(m, i) would produce, without mutating the path.
-double unwound_sum(const Path& m, std::size_t i) {
+/// For every path element i >= 1, adds unwound_sum(m, i) * (o_i - z_i) *
+/// leaf value to phi(d_i, ·), where unwound_sum(m, i) is the sum of the
+/// weights unwind(m, i) would produce. All of a leaf's sums run together:
+/// the loop over j is outside and the elements are lanes inside it, so their
+/// divisions overlap instead of each waiting on the one before. Each lane
+/// still performs exactly the operations of its own sum, in the same order,
+/// and the sums land in phi in element order, so every bit is the same as
+/// summing one element at a time. Elements with o != 0 and with o == 0 take
+/// different recurrences and sit in separate contiguous lane ranges.
+void add_leaf(const Path& m, std::span<const double> value, Matrix& phi,
+              icn::util::Arena& arena) {
   const std::size_t depth = m.size;
-  const double o_i = m[i].o;
-  const double z_i = m[i].z;
-  double n = m[depth - 1].w;
-  double total = 0.0;
+  if (depth < 2) return;
+  const std::size_t count = depth - 1;  // elements 1 .. depth-1
+  double* const o = arena.alloc<double>(count);
+  double* const z = arena.alloc<double>(count);
+  double* const n = arena.alloc<double>(count);
+  double* const total = arena.alloc<double>(count);
+  std::size_t* const lane = arena.alloc<std::size_t>(count);
+  std::size_t ones = 0;
+  for (std::size_t i = 1; i < depth; ++i) ones += m[i].o != 0.0;
+  std::size_t next_one = 0;
+  std::size_t next_zero = ones;
+  for (std::size_t i = 1; i < depth; ++i) {
+    const std::size_t l = m[i].o != 0.0 ? next_one++ : next_zero++;
+    lane[i - 1] = l;
+    o[l] = m[i].o;
+    z[l] = m[i].z;
+    n[l] = m[depth - 1].w;
+    total[l] = 0.0;
+  }
+  const double d = static_cast<double>(depth);
   for (std::size_t j = depth - 1; j-- > 0;) {
-    if (o_i != 0.0) {
-      const double t = n * static_cast<double>(depth) /
-                       (static_cast<double>(j + 1) * o_i);
-      total += t;
-      n = m[j].w - t * z_i * static_cast<double>(depth - 1 - j) /
-                       static_cast<double>(depth);
-    } else {
-      total += m[j].w * static_cast<double>(depth) /
-               (z_i * static_cast<double>(depth - 1 - j));
+    const double w = m[j].w;
+    const double j1 = static_cast<double>(j + 1);
+    const double rest = static_cast<double>(depth - 1 - j);
+    for (std::size_t l = 0; l < ones; ++l) {
+      const double t = n[l] * d / (j1 * o[l]);
+      total[l] += t;
+      n[l] = w - t * z[l] * rest / d;
+    }
+    for (std::size_t l = ones; l < count; ++l) {
+      total[l] += w * d / (z[l] * rest);
     }
   }
-  return total;
+  for (std::size_t i = 1; i < depth; ++i) {
+    const double scale = total[lane[i - 1]] * (m[i].o - m[i].z);
+    const auto f = static_cast<std::size_t>(m[i].d);
+    for (std::size_t c = 0; c < value.size(); ++c) {
+      phi(f, c) += scale * value[c];
+    }
+  }
 }
 
 /// Recursive pass of Alg. 2 accumulating phi (M x K, row-major in `phi`).
@@ -115,14 +148,7 @@ void recurse(const std::vector<TreeNode>& nodes, std::span<const double> x,
   extend(m, pz, po, pi);
   const TreeNode& node = nodes[static_cast<std::size_t>(node_id)];
   if (node.is_leaf()) {
-    for (std::size_t i = 1; i < m.size; ++i) {
-      const double w = unwound_sum(m, i);
-      const double scale = w * (m[i].o - m[i].z);
-      const auto f = static_cast<std::size_t>(m[i].d);
-      for (std::size_t c = 0; c < node.value.size(); ++c) {
-        phi(f, c) += scale * node.value[c];
-      }
-    }
+    add_leaf(m, node.value, phi, arena);
     return;
   }
   const auto f = static_cast<std::size_t>(node.feature);
@@ -148,6 +174,14 @@ void recurse(const std::vector<TreeNode>& nodes, std::span<const double> x,
           node.feature, arena);
   recurse(nodes, x, phi, cold, m, incoming_z * cold_cover / cover, 0.0,
           node.feature, arena);
+}
+
+/// Adds tree's SHAP values at x into phi (M x K); tree_shap from zero.
+void add_tree_shap(const DecisionTree& tree, std::span<const double> x,
+                   Matrix& phi) {
+  auto& arena = icn::util::scratch_arena();
+  const icn::util::Arena::Frame frame(arena);
+  recurse(tree.nodes(), x, phi, 0, Path{}, 1.0, 1.0, -1, arena);
 }
 
 std::vector<double> conditional_expectation_impl(
@@ -178,9 +212,7 @@ std::vector<double> conditional_expectation_impl(
 Matrix tree_shap(const DecisionTree& tree, std::span<const double> x) {
   ICN_REQUIRE(tree.is_fitted(), "tree_shap on unfitted tree");
   Matrix phi(x.size(), static_cast<std::size_t>(tree.num_classes()));
-  auto& arena = icn::util::scratch_arena();
-  const icn::util::Arena::Frame frame(arena);
-  recurse(tree.nodes(), x, phi, 0, Path{}, 1.0, 1.0, -1, arena);
+  add_tree_shap(tree, x, phi);
   return phi;
 }
 
@@ -194,8 +226,10 @@ std::vector<double> tree_base_values(const DecisionTree& tree) {
 Matrix forest_shap(const RandomForest& forest, std::span<const double> x) {
   ICN_REQUIRE(forest.is_fitted(), "forest_shap on unfitted forest");
   Matrix acc(x.size(), static_cast<std::size_t>(forest.num_classes()));
+  Matrix phi(acc.rows(), acc.cols());  // one tree's values, reused per tree
   for (const auto& tree : forest.trees()) {
-    const Matrix phi = tree_shap(tree, x);
+    std::fill(phi.data().begin(), phi.data().end(), 0.0);
+    add_tree_shap(tree, x, phi);
     for (std::size_t i = 0; i < acc.data().size(); ++i) {
       acc.data()[i] += phi.data()[i];
     }

@@ -160,8 +160,11 @@ TEST(ThreadDeterminismTest, SilhouetteAndDunnBitIdentical) {
 }
 
 TEST(ThreadDeterminismTest, ForestBitIdentical) {
+  // 300 rows of > 256 distinct values per feature: every tree's root search
+  // runs both radix byte passes, and all 8 workers read the one shared rank
+  // table.
   std::vector<int> y;
-  const Matrix x = blob_data(50, 4, 1.3, 404, &y);
+  const Matrix x = blob_data(100, 4, 1.3, 404, &y);
   RandomForest::Params params;
   params.num_trees = 24;
   params.seed = 99;

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "ml/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "reference_tree.h"
 
 namespace icn::ml {
 namespace {
@@ -157,40 +162,88 @@ TEST(RandomForestTest, InputValidation) {
   EXPECT_THROW(forest.predict(std::vector<double>{1.0}),
                icn::util::PreconditionError);
   EXPECT_THROW(forest.feature_importance(), icn::util::PreconditionError);
+  // Non-finite features are refused once, when the forest ranks them.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const Matrix bad_x(2, 1, {0.0, bad});
+    EXPECT_THROW(forest.fit(bad_x, std::vector<int>{0, 1}, 2, params),
+                 icn::util::PreconditionError);
+  }
 }
 
-TEST(RandomForestTest, ArenaAndHeapScratchGrowIdenticalForests) {
-  Matrix x(60, 3);
-  std::vector<int> y;
-  icn::util::Rng rng(5);
-  for (std::size_t i = 0; i < 60; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) x(i, j) = rng.uniform(0.0, 1.0);
-    y.push_back(x(i, 0) + x(i, 1) > 1.0 ? 1 : 0);
-  }
-  RandomForest::Params params;
-  params.num_trees = 8;
-  params.seed = 11;
-  params.scratch = DecisionTree::Scratch::kArena;
-  RandomForest arena_forest;
-  arena_forest.fit(x, y, 2, params);
-  params.scratch = DecisionTree::Scratch::kHeap;
-  RandomForest heap_forest;
-  heap_forest.fit(x, y, 2, params);
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
-  ASSERT_EQ(arena_forest.trees().size(), heap_forest.trees().size());
-  for (std::size_t t = 0; t < arena_forest.trees().size(); ++t) {
-    const auto& a = arena_forest.trees()[t].nodes();
-    const auto& h = heap_forest.trees()[t].nodes();
-    ASSERT_EQ(a.size(), h.size()) << "tree " << t;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].feature, h[i].feature);
-      EXPECT_EQ(a[i].threshold, h[i].threshold);
-      EXPECT_EQ(a[i].value, h[i].value);
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(RandomForestTest, MatchesReferenceForestBitForBit) {
+  // Every tree grown off the shared rank table equals the reference
+  // builder's tree from the same seed stream and bootstrap draw, and the OOB
+  // estimate equals the one summed from copied leaf distributions.
+  std::vector<int> y;
+  const Matrix x = blob_data(100, 0.9, 8, &y);
+  RandomForest::Params params;
+  params.num_trees = 12;
+  params.seed = 11;
+  for (const std::size_t min_leaf : {std::size_t{1}, std::size_t{3}}) {
+    params.min_samples_leaf = min_leaf;
+    RandomForest forest;
+    forest.fit(x, y, 3, params);
+    const reference::Forest ref = reference::fit_forest(x, y, 3, params);
+
+    ASSERT_EQ(forest.trees().size(), ref.trees.size());
+    for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+      const auto& a = forest.trees()[t].nodes();
+      const auto& r = ref.trees[t].nodes;
+      ASSERT_EQ(a.size(), r.size()) << "tree " << t;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].feature, r[i].feature) << "tree " << t << " node " << i;
+        EXPECT_TRUE(same_bits(a[i].threshold, r[i].threshold));
+        EXPECT_EQ(a[i].left, r[i].left);
+        EXPECT_EQ(a[i].right, r[i].right);
+        EXPECT_TRUE(same_bits(a[i].cover, r[i].cover));
+        EXPECT_TRUE(same_bits(a[i].value, r[i].value));
+      }
+      EXPECT_TRUE(same_bits(forest.trees()[t].impurity_importance(),
+                            ref.trees[t].importance));
+    }
+    EXPECT_TRUE(same_bits(forest.oob_accuracy(), ref.oob_accuracy))
+        << forest.oob_accuracy() << " vs " << ref.oob_accuracy;
+  }
+}
+
+TEST(RandomForestTest, PredictionsEqualPerTreeCopySum) {
+  // predict_proba and predict_all accumulate leaf distributions in place;
+  // they must equal the sum of a copy of each tree's leaf distribution, in
+  // tree order, scaled by 1/T.
+  std::vector<int> y;
+  const Matrix x = blob_data(60, 1.4, 12, &y);
+  std::vector<int> y_new;
+  const Matrix x_new = blob_data(40, 2.0, 13, &y_new);
+  RandomForest::Params params;
+  params.num_trees = 15;
+  params.seed = 21;
+  RandomForest forest;
+  forest.fit(x, y, 3, params);
+  const reference::Forest ref = reference::fit_forest(x, y, 3, params);
+  for (const Matrix* rows : {&x, &x_new}) {
+    const std::vector<int> predicted = forest.predict_all(*rows);
+    for (std::size_t i = 0; i < rows->rows(); ++i) {
+      const auto proba = forest.predict_proba(rows->row(i));
+      const auto expected = reference::forest_proba(ref, 3, rows->row(i));
+      ASSERT_TRUE(same_bits(proba, expected)) << "row " << i;
+      EXPECT_EQ(predicted[i],
+                std::max_element(expected.begin(), expected.end()) -
+                    expected.begin())
+          << "row " << i;
+      EXPECT_EQ(forest.predict(rows->row(i)), predicted[i]);
     }
   }
-  EXPECT_EQ(arena_forest.oob_accuracy(), heap_forest.oob_accuracy());
-  EXPECT_EQ(arena_forest.feature_importance(),
-            heap_forest.feature_importance());
 }
 
 }  // namespace

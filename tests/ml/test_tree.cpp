@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "ml/metrics.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "reference_tree.h"
 
 namespace icn::ml {
 namespace {
@@ -177,33 +182,117 @@ TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {
   EXPECT_GT(accuracy(pred, y), 0.95);
 }
 
-TEST(DecisionTreeTest, ArenaAndHeapScratchAreBitIdentical) {
-  // The arena path must not change a single output bit relative to the
-  // original heap-vector path: same splits, same thresholds, same rng draws.
-  std::vector<int> y;
-  const Matrix x = quadrant_data(300, 7, &y);
-  for (const std::size_t max_features : {std::size_t{0}, std::size_t{1}}) {
-    DecisionTree::Params params;
-    params.max_features = max_features;
-    params.scratch = DecisionTree::Scratch::kArena;
-    const auto arena_tree = fit_tree(x, y, 4, params, 99);
-    params.scratch = DecisionTree::Scratch::kHeap;
-    const auto heap_tree = fit_tree(x, y, 4, params, 99);
-
-    ASSERT_EQ(arena_tree.nodes().size(), heap_tree.nodes().size());
-    for (std::size_t i = 0; i < arena_tree.nodes().size(); ++i) {
-      const TreeNode& a = arena_tree.nodes()[i];
-      const TreeNode& h = heap_tree.nodes()[i];
-      EXPECT_EQ(a.feature, h.feature) << "node " << i;
-      EXPECT_EQ(a.threshold, h.threshold) << "node " << i;
-      EXPECT_EQ(a.left, h.left) << "node " << i;
-      EXPECT_EQ(a.right, h.right) << "node " << i;
-      EXPECT_EQ(a.cover, h.cover) << "node " << i;
-      EXPECT_EQ(a.value, h.value) << "node " << i;
+/// Rows that reach every branch of the rank-keyed split search: 700 rows
+/// and columns of > 256 distinct values (two radix byte passes at the root,
+/// std::sort in the small nodes below), a column quantised to 5 levels (one
+/// pass, long ties), mixed -0.0/+0.0 next to informative cuts, a constant
+/// column, and 12 classes.
+Matrix parity_data(std::vector<int>* labels) {
+  constexpr std::size_t kRows = 700;
+  icn::util::Rng rng(2024);
+  Matrix x(kRows, 6);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double zero_pick = rng.uniform(0.0, 1.0);
+    x(i, 0) = u;
+    x(i, 1) = 0.25 * std::floor(rng.uniform(0.0, 5.0));
+    x(i, 2) = zero_pick < 0.2 ? -0.0 : zero_pick < 0.4 ? 0.0 : rng.normal();
+    x(i, 3) = 3.5;
+    x(i, 4) = std::round(rng.uniform(0.0, 400.0));
+    x(i, 5) = rng.normal();
+    int label = 2 * static_cast<int>((u + 1.0) * 3.0) + (x(i, 4) > 200.0);
+    if (x(i, 2) > 0.0 && rng.uniform(0.0, 1.0) < 0.5) label = (label + 1) % 12;
+    if (rng.uniform(0.0, 1.0) < 0.1) {
+      label = static_cast<int>(rng.uniform_index(12));
     }
-    EXPECT_EQ(arena_tree.impurity_importance(),
-              heap_tree.impurity_importance());
+    labels->push_back(label);
   }
+  return x;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(DecisionTreeTest, MatchesReferenceBuilderBitForBit) {
+  // The rank-keyed radix builder must grow exactly the tree the per-node-sort
+  // reference builder grows: same splits, thresholds, covers, values and
+  // importances, and the same rng draws.
+  std::vector<int> y;
+  const Matrix x = parity_data(&y);
+  icn::util::Rng draw(31);
+  std::vector<std::size_t> bootstrap(x.rows());
+  for (auto& i : bootstrap) i = draw.uniform_index(x.rows());
+  for (const std::size_t min_leaf : {std::size_t{1}, std::size_t{5}}) {
+    for (const std::size_t max_features :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      for (const bool use_bootstrap : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "min_samples_leaf " << min_leaf << " max_features "
+                     << max_features << " bootstrap " << use_bootstrap);
+        DecisionTree::Params params;
+        params.min_samples_leaf = min_leaf;
+        params.max_features = max_features;
+        const std::span<const std::size_t> sample =
+            use_bootstrap ? std::span<const std::size_t>(bootstrap)
+                          : std::span<const std::size_t>();
+        DecisionTree tree;
+        icn::util::Rng rng(99);
+        tree.fit(x, y, 12, params, rng, sample);
+        icn::util::Rng ref_rng(99);
+        const reference::Tree ref =
+            reference::fit_tree(x, y, 12, params, ref_rng, sample);
+
+        ASSERT_EQ(tree.nodes().size(), ref.nodes.size());
+        EXPECT_GT(tree.nodes().size(), 50u);
+        for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+          const TreeNode& a = tree.nodes()[i];
+          const TreeNode& r = ref.nodes[i];
+          EXPECT_EQ(a.feature, r.feature) << "node " << i;
+          EXPECT_TRUE(same_bits(a.threshold, r.threshold)) << "node " << i;
+          EXPECT_EQ(a.left, r.left) << "node " << i;
+          EXPECT_EQ(a.right, r.right) << "node " << i;
+          EXPECT_TRUE(same_bits(a.cover, r.cover)) << "node " << i;
+          EXPECT_TRUE(same_bits(a.value, r.value)) << "node " << i;
+        }
+        EXPECT_TRUE(same_bits(tree.impurity_importance(), ref.importance));
+        EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+      }
+    }
+  }
+}
+
+TEST(DecisionTreeTest, RejectsNonFiniteFeatures) {
+  const std::vector<int> y = {0, 1, 0, 1};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const Matrix x(4, 2, {0.0, 1.0, 2.0, bad, 4.0, 5.0, 6.0, 7.0});
+    DecisionTree tree;
+    icn::util::Rng rng(1);
+    EXPECT_THROW(tree.fit(x, y, 2, {}, rng), icn::util::PreconditionError);
+    EXPECT_THROW(FeatureRanks{x}, icn::util::PreconditionError);
+  }
+}
+
+TEST(DecisionTreeTest, RankTableSharesRanksBetweenEqualValues) {
+  const Matrix x(5, 2, {0.5, 1.0, -0.0, 1.0, 0.0, 1.0, -2.0, 1.0, 0.5, 1.0});
+  const FeatureRanks ranks(x);
+  const std::vector<std::uint32_t> expected = {2, 1, 1, 0, 2};
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         ranks.ranks(0).begin(), ranks.ranks(0).end()));
+  ASSERT_EQ(ranks.values(0).size(), 3u);
+  EXPECT_EQ(ranks.values(0)[0], -2.0);
+  EXPECT_EQ(ranks.values(0)[1], 0.0);
+  EXPECT_EQ(ranks.values(0)[2], 0.5);
+  ASSERT_EQ(ranks.values(1).size(), 1u);
+  for (const std::uint32_t r : ranks.ranks(1)) EXPECT_EQ(r, 0u);
 }
 
 }  // namespace

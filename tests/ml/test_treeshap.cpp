@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ml/exactshap.h"
 #include "util/error.h"
 #include "util/rng.h"
+
+#include "reference_tree.h"
 
 namespace icn::ml {
 namespace {
@@ -92,6 +95,50 @@ TEST(TreeShapTest, RepeatedSplitFeatureHandled) {
       for (std::size_t c = 0; c < 3; ++c) {
         EXPECT_NEAR(fast(f, c), exact(f, c), 1e-9);
       }
+    }
+  }
+}
+
+TEST(TreeShapTest, LeafBatchedSumsMatchPerElementReferenceBitForBit) {
+  // Depth-10 trees. Over 2 features, split features repeat along every deep
+  // path (the unwind branch); over 8, paths grow to 9 elements, so every
+  // lane runs a long chain of the recurrence. Hot and cold children give
+  // path elements with o != 0 and o == 0, and depth-capped leaves hold
+  // several classes.
+  for (const std::size_t features : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << features << " features");
+    icn::util::Rng rng(77);
+    Matrix x(500, features);
+    std::vector<int> y;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      double signal = 0.0;
+      for (std::size_t f = 0; f < features; ++f) {
+        x(i, f) = rng.uniform(-1.0, 1.0);
+        signal += std::sin((7.0 - static_cast<double>(f)) * x(i, f));
+      }
+      int label = static_cast<int>(std::floor(2.0 * signal + 40.0)) % 4;
+      if (rng.uniform(0.0, 1.0) < 0.2) {
+        label = static_cast<int>(rng.uniform_index(4));
+      }
+      y.push_back(label);
+    }
+    const DecisionTree tree = fit_tree(x, y, 4, 10);
+    std::size_t multi_class_leaves = 0;
+    for (const auto& node : tree.nodes()) {
+      if (!node.is_leaf()) continue;
+      std::size_t classes = 0;
+      for (const double v : node.value) classes += v > 0.0;
+      multi_class_leaves += classes > 1;
+    }
+    EXPECT_GT(multi_class_leaves, 10u);
+    for (std::size_t r = 0; r < x.rows(); r += 3) {
+      const Matrix phi = tree_shap(tree, x.row(r));
+      const Matrix ref = reference::tree_shap(tree, x.row(r));
+      ASSERT_EQ(phi.data().size(), ref.data().size());
+      ASSERT_EQ(std::memcmp(phi.data().data(), ref.data().data(),
+                            phi.data().size() * sizeof(double)),
+                0)
+          << "row " << r;
     }
   }
 }
