@@ -1,11 +1,11 @@
 // Performance microbenches (google-benchmark) for the core algorithms:
 // Ward NN-chain scaling, silhouette, RCA/RSCA transform throughput,
-// random-forest training, TreeSHAP vs KernelSHAP per explanation, the
+// random-forest training, TreeSHAP per explanation and per batch, the
 // probe-path aggregation throughput, the scalar and AVX2 SIMD kernels
 // (distance, x4 row-batched distance, RSCA row, labeled sums), the tiled
 // condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
 // backends, the Hungarian assignment, seasonal batch fitting, and the
-// static-vs-stealing scheduler on a skewed workload. Emits
+// work-stealing scheduler on a skewed workload. Emits
 // BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
@@ -21,7 +21,6 @@
 #include "ml/forest.h"
 #include "ml/hungarian.h"
 #include "ml/kernels.h"
-#include "ml/kernelshap.h"
 #include "ml/linkage.h"
 #include "ml/metrics.h"
 #include "ml/treeshap.h"
@@ -205,25 +204,6 @@ BENCHMARK_DEFINE_F(ShapFixture, BM_TreeShapBatchThreads)
 BENCHMARK_REGISTER_F(ShapFixture, BM_TreeShapBatchThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_F(ShapFixture, BM_KernelShapPerSample)(benchmark::State& state) {
-  // Model-agnostic path, budgeted at 512 coalitions with a 16-row
-  // background; vastly slower than TreeSHAP — that gap is the point.
-  std::vector<std::size_t> bg_rows(16);
-  for (std::size_t i = 0; i < 16; ++i) bg_rows[i] = i * 7;
-  const ml::Matrix background = x.select_rows(bg_rows);
-  const ml::ModelFunction model = [&](std::span<const double> row) {
-    return forest.predict_proba(row);
-  };
-  ml::KernelShapParams params;
-  params.max_coalitions = 512;
-  std::size_t row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ml::kernel_shap(model, x.row(row), background, params));
-    row = (row + 1) % x.rows();
-  }
-}
 
 void BM_ProbeAggregation(benchmark::State& state) {
   // Measurement-path throughput: flows -> ULI decode -> DPI -> aggregate.
@@ -445,16 +425,13 @@ void BM_Crc32cHw(benchmark::State& state) {
 BENCHMARK(BM_Crc32cHw)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Scheduler: static block-dealing vs work-stealing on a deliberately skewed
-// workload (chunk i costs ~i work — a triangular profile like the condensed
-// distance rows). Same chunks, same outputs; only idle time differs.
-// args: {threads, schedule}
+// Scheduler: work-stealing on a deliberately skewed workload (chunk i costs
+// ~i work — a triangular profile like the condensed distance rows). Same
+// chunks and same outputs at every thread count; only idle time differs.
+// args: {threads}
 void BM_SchedulerSkewed(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto schedule = state.range(1) == 0
-                            ? icn::util::ThreadPool::Schedule::kStatic
-                            : icn::util::ThreadPool::Schedule::kSteal;
-  icn::util::ThreadPool::ScopedOverride pool(threads, schedule);
+  icn::util::ThreadPool::ScopedOverride pool(threads);
   state.counters["threads"] = static_cast<double>(threads);
   constexpr std::size_t kChunks = 512;
   std::vector<double> out(kChunks);
@@ -469,12 +446,9 @@ void BM_SchedulerSkewed(benchmark::State& state) {
         });
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetLabel(schedule == icn::util::ThreadPool::Schedule::kStatic
-                     ? "static"
-                     : "steal");
 }
 BENCHMARK(BM_SchedulerSkewed)
-    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
@@ -523,9 +497,8 @@ BENCHMARK(BM_SeasonalBatchFitThreads)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Smoke preset: drop the big problem sizes and the slow model-agnostic
-  // SHAP path; keep one point per op family so the JSON schema and every
-  // code path still get exercised in CI.
+  // Smoke preset: drop the big problem sizes; keep one point per op family
+  // so the JSON schema and every code path still get exercised in CI.
   return icn::bench::trajectory_main(
-      "perf_algorithms", "-(/(1000|2000|4762)($|/)|KernelShap)", argc, argv);
+      "perf_algorithms", "-/(1000|2000|4762)($|/)", argc, argv);
 }

@@ -6,8 +6,8 @@
 // example splits a synthetic study across four probe feeds, wraps each in a
 // seeded FaultPlan (dropout windows, transient pull failures, duplicated/
 // reordered/skewed/truncated batches, per-record field fuzz, a correlated
-// site outage), and drives them with the FeedSupervisor with the
-// record-level quality layer engaged:
+// site outage), and drives them with the FeedSupervisor and its
+// record-level quality layer:
 //
 //   1. the supervisor polls all feeds on a virtual clock, retrying transient
 //      failures with capped exponential backoff, deduplicating redelivered
@@ -41,7 +41,6 @@
 #include "probe/dpi.h"
 #include "probe/gtp.h"
 #include "probe/probe.h"
-#include "quality/validate.h"
 #include "stream/supervise.h"
 #include "traffic/flows.h"
 #include "util/table.h"
@@ -159,7 +158,6 @@ int main(int argc, char** argv) {
   sup.backoff.max_retries = 6;
   sup.stall_timeout_ticks = 4;
   sup.corrupt_strikes = 1000;  // Truncated batches are redelivered intact.
-  sup.quality = quality::ValidatorParams{};  // Record-level repair/reject.
   stream::FeedSupervisor supervisor(sup, std::move(specs));
 
   // --- Drive the plant, printing live counters every 64 ticks -------------

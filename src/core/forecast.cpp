@@ -83,23 +83,6 @@ std::vector<SeasonalForecaster> fit_seasonal_batch(
   return out;
 }
 
-std::vector<SeasonalForecaster> fit_seasonal_batch_masked(
-    std::span<const std::span<const double>> series,
-    std::span<const std::span<const std::uint8_t>> covered,
-    std::size_t season_hours) {
-  ICN_REQUIRE(series.size() == covered.size(),
-              "one coverage bitmap per series");
-  std::vector<SeasonalForecaster> out(series.size());
-  icn::util::parallel_for(
-      0, series.size(), icn::util::adaptive_grain(0, series.size()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i].fit_masked(series[i], covered[i], season_hours);
-        }
-      });
-  return out;
-}
-
 double SeasonalForecaster::slot_value(std::size_t slot) const {
   ICN_REQUIRE(is_fitted(), "forecaster not fitted");
   ICN_REQUIRE(slot < slot_median_.size(), "slot index");

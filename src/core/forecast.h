@@ -58,13 +58,6 @@ class SeasonalForecaster {
     std::span<const std::span<const double>> series,
     std::size_t season_hours = 168);
 
-/// Parallel batch of `SeasonalForecaster::fit_masked`: series[i] is fitted
-/// against coverage bitmap covered[i]. Requires equal outer sizes.
-[[nodiscard]] std::vector<SeasonalForecaster> fit_seasonal_batch_masked(
-    std::span<const std::span<const double>> series,
-    std::span<const std::span<const std::uint8_t>> covered,
-    std::size_t season_hours = 168);
-
 /// Additive Holt-Winters (triple exponential smoothing) with a weekly
 /// season — the classic step up from the seasonal median when the traffic
 /// carries a trend (e.g. a slowly filling office building).

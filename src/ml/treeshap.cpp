@@ -273,19 +273,4 @@ std::vector<double> tree_conditional_expectation(
   return conditional_expectation_impl(tree.nodes(), 0, x, present);
 }
 
-std::vector<double> forest_conditional_expectation(
-    const RandomForest& forest, std::span<const double> x,
-    const std::vector<bool>& present) {
-  ICN_REQUIRE(forest.is_fitted(), "conditional expectation on unfitted forest");
-  std::vector<double> out(static_cast<std::size_t>(forest.num_classes()),
-                          0.0);
-  for (const auto& tree : forest.trees()) {
-    const auto v = tree_conditional_expectation(tree, x, present);
-    for (std::size_t c = 0; c < out.size(); ++c) out[c] += v[c];
-  }
-  const double inv = 1.0 / static_cast<double>(forest.trees().size());
-  for (auto& v : out) v *= inv;
-  return out;
-}
-
 }  // namespace icn::ml

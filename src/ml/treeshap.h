@@ -53,9 +53,4 @@ namespace icn::ml {
     const DecisionTree& tree, std::span<const double> x,
     const std::vector<bool>& present);
 
-/// Same value function for the whole forest (mean over trees).
-[[nodiscard]] std::vector<double> forest_conditional_expectation(
-    const RandomForest& forest, std::span<const double> x,
-    const std::vector<bool>& present);
-
 }  // namespace icn::ml

@@ -90,13 +90,12 @@ Verdict RecordValidator::validate(probe::ServiceSession& record,
       params_.num_hours <= 0 ||
       (record.hour >= 0 && record.hour < params_.num_hours);
   const bool hour_skewed = record.hour != batch_hour;
-  if (hour_skewed && (!params_.repair_clock_skew || !hour_in_study)) {
-    // A skewed hour we may not (or cannot sensibly) snap back: without the
-    // repair the record would land in the wrong study slot.
+  if (hour_skewed && !hour_in_study) {
+    // A skewed hour outside the study cannot sensibly be snapped back: it is
+    // not attributable to any study slot.
     verdict.action = Action::kRejected;
     verdict.field = Field::kHour;
-    verdict.defect =
-        hour_in_study ? Defect::kClockSkew : Defect::kHourOutOfStudy;
+    verdict.defect = Defect::kHourOutOfStudy;
     verdict.observed = static_cast<double>(record.hour);
     return verdict;
   }
@@ -104,8 +103,7 @@ Verdict RecordValidator::validate(probe::ServiceSession& record,
   const auto fatal_volume = [&](double bytes) {
     if (!std::isfinite(bytes)) return Defect::kNonFiniteVolume;
     if (bytes > params_.max_volume_bytes) return Defect::kVolumeOverflow;
-    if (bytes < 0.0 && (!params_.repair_sign_flips ||
-                        -bytes > params_.max_volume_bytes)) {
+    if (bytes < 0.0 && -bytes > params_.max_volume_bytes) {
       return Defect::kNegativeVolume;
     }
     return Defect::kNone;

@@ -71,10 +71,6 @@ struct ValidatorParams {
   std::int64_t num_hours = 0;
   /// Largest plausible per-session byte counter (default 1 TB).
   double max_volume_bytes = 1.0e12;
-  /// Snap a skewed-but-in-study hour to the batch hour instead of rejecting.
-  bool repair_clock_skew = true;
-  /// Negate finite negative volumes instead of rejecting.
-  bool repair_sign_flips = true;
 };
 
 /// The validator's judgement of one record. `observed` holds the defective

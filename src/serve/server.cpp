@@ -181,17 +181,10 @@ void Server::drop_closed(int fd) {
 }
 
 void Server::refresh_health() {
+  health_ = stats_;
   health_.open_sessions = static_cast<std::uint32_t>(sessions_.size());
   health_.latest_generation = registry_.generation();
   health_.degraded_publishes = registry_.degraded_publishes();
-  health_.connections_accepted = stats_.connections_accepted;
-  health_.connections_refused = stats_.connections_refused;
-  health_.connections_closed = stats_.connections_closed;
-  health_.frames_served = stats_.frames_served;
-  health_.ticks = stats_.ticks;
-  health_.evicted_idle = stats_.sessions_evicted_idle;
-  health_.evicted_deadline = stats_.sessions_evicted_deadline;
-  health_.shutdown_rejects = stats_.shutdown_rejects;
   health_.checkpoint_failures =
       checkpoint_failures_source_ ? checkpoint_failures_source_() : 0;
   health_.draining = draining_ ? 1 : 0;
@@ -220,9 +213,9 @@ void Server::sweep_sessions(std::uint64_t tick) {
     } else if (session.state() == SessionState::kOpen) {
       const TickEvent event = session.on_tick(tick);
       if (event == TickEvent::kEvictedIdle) {
-        stats_.sessions_evicted_idle += 1;
+        stats_.evicted_idle += 1;
       } else if (event == TickEvent::kEvictedDeadline) {
-        stats_.sessions_evicted_deadline += 1;
+        stats_.evicted_deadline += 1;
       }
     }
     // Evictions and drain rejects queue reply bytes outside the event

@@ -54,18 +54,6 @@ struct ServeConfig {
   [[nodiscard]] static ServeConfig from_env();
 };
 
-/// Running totals the reactor maintains (read between steps or after stop).
-struct ServeStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_refused = 0;  ///< Admission + drain rejects.
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames_served = 0;
-  std::uint64_t ticks = 0;
-  std::uint64_t sessions_evicted_idle = 0;
-  std::uint64_t sessions_evicted_deadline = 0;  ///< Slow-loris evictions.
-  std::uint64_t shutdown_rejects = 0;  ///< Frames refused while draining.
-};
-
 class Server {
  public:
   /// Wraps the freshly accepted connection's transport; the chaos tests
@@ -82,12 +70,17 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] const ServeStats& stats() const { return stats_; }
+  /// Running reactor totals, live (read between steps or after stop). Only
+  /// the counters the reactor itself maintains are set: connections, frames,
+  /// ticks, evictions and shutdown rejects. The registry, session,
+  /// checkpoint and drain fields are filled in by health().
+  [[nodiscard]] const HealthInfo& stats() const { return stats_; }
   [[nodiscard]] std::size_t num_sessions() const { return sessions_.size(); }
   /// True once a drain has been latched by the reactor (reactor thread /
   /// between steps only).
   [[nodiscard]] bool draining() const { return draining_; }
-  /// Counters served for kHealth, refreshed at the top of each step.
+  /// Counters served for kHealth: stats() plus the registry, session,
+  /// checkpoint and drain fields, refreshed at the top of each step.
   [[nodiscard]] const HealthInfo& health() const { return health_; }
 
   /// Installs the transport wrapper for future accepts. Call before the
@@ -133,8 +126,8 @@ class Server {
   icn::util::Fd epoll_;
   icn::util::Fd wakeup_;  ///< eventfd for cross-thread stop()/begin_drain().
   std::unordered_map<int, std::unique_ptr<Session>> sessions_;
-  ServeStats stats_;
-  HealthInfo health_;
+  HealthInfo stats_;   ///< Live reactor counters.
+  HealthInfo health_;  ///< Snapshot served for kHealth.
   TransportFactory transport_factory_;
   std::function<std::uint64_t()> checkpoint_failures_source_;
   std::atomic<bool> stop_{false};

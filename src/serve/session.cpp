@@ -38,12 +38,6 @@ Session::Session(std::unique_ptr<Transport> transport,
       last_activity_tick_(accept_tick),
       frame_start_tick_(accept_tick) {}
 
-Session::Session(icn::util::Fd fd,
-                 std::shared_ptr<const ServedSnapshot> pinned,
-                 const SnapshotRegistry* registry, const Limits& limits)
-    : Session(std::make_unique<SocketTransport>(std::move(fd)),
-              std::move(pinned), registry, limits) {}
-
 void Session::serve_frame(std::span<const std::uint8_t> payload,
                           std::uint64_t tick) {
   bucket_.advance(tick);

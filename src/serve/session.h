@@ -36,7 +36,6 @@
 #include "serve/registry.h"
 #include "serve/transport.h"
 #include "util/bytes.h"
-#include "util/socket.h"
 
 namespace icn::serve {
 
@@ -113,10 +112,6 @@ class Session {
           std::shared_ptr<const ServedSnapshot> pinned,
           const SnapshotRegistry* registry, const Limits& limits,
           std::uint64_t accept_tick = 0, const HealthInfo* health = nullptr);
-
-  /// Legacy convenience: wraps a raw socket in a SocketTransport.
-  Session(icn::util::Fd fd, std::shared_ptr<const ServedSnapshot> pinned,
-          const SnapshotRegistry* registry, const Limits& limits);
 
   [[nodiscard]] int fd() const { return transport_->fd(); }
   [[nodiscard]] SessionState state() const { return state_; }

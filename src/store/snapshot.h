@@ -69,7 +69,7 @@ enum class SectionType : std::uint32_t {
   /// record-level data-quality accounting of one feed (or the hour-wise sum
   /// across feeds in a merged study snapshot). Written only when at least one
   /// record was rejected or repaired, so a clean run's checkpoint stays
-  /// bit-identical to a pre-quality-layer one.
+  /// bit-identical to a plain StreamIngestor checkpoint.
   kQuarantine = 5,
 };
 

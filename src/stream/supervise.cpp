@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "util/error.h"
@@ -165,13 +166,11 @@ FeedSupervisor::FeedSupervisor(SupervisorParams params,
     rt->ingestor.emplace(std::move(ingest),
                          rt->writer ? &*rt->writer : nullptr);
     if (first_open_hour > 0) rt->ingestor->resume_before(first_open_hour);
-    if (params_.quality) {
-      quality::ValidatorParams vp = *params_.quality;
-      vp.antenna_ids = rt->spec.antenna_ids;
-      vp.num_services = params_.num_services;
-      vp.num_hours = params_.num_hours;
-      rt->validator.emplace(std::move(vp));
-    }
+    quality::ValidatorParams vp = params_.quality;
+    vp.antenna_ids = rt->spec.antenna_ids;
+    vp.num_services = params_.num_services;
+    vp.num_hours = params_.num_hours;
+    rt->validator.emplace(std::move(vp));
     rt->covered.assign(static_cast<std::size_t>(params_.num_hours), 0);
     rt->rejected_by_hour.assign(static_cast<std::size_t>(params_.num_hours),
                                 0);
@@ -323,21 +322,9 @@ void FeedSupervisor::accept_batch(std::size_t feed, FeedBatch&& batch) {
   // Structural validation: a truncated delivery or an out-of-range batch
   // header makes the whole batch untrustworthy. The feed may redeliver it
   // intact (the sequence was not accepted), but repeated corruption trips
-  // the circuit breaker. With the quality layer disengaged, an out-of-range
-  // record also strikes the whole batch (the pre-quality behavior); with it
-  // engaged, per-record defects are judged individually below.
-  bool corrupt = batch.records.size() != batch.declared_records ||
-                 batch.hour < 0 || batch.hour >= params_.num_hours;
-  if (!corrupt && !f.validator) {
-    for (const auto& s : batch.records) {
-      if (s.hour < 0 || s.hour >= params_.num_hours ||
-          s.service >= params_.num_services) {
-        corrupt = true;
-        break;
-      }
-    }
-  }
-  if (corrupt) {
+  // the circuit breaker. Per-record defects are judged individually below.
+  if (batch.records.size() != batch.declared_records || batch.hour < 0 ||
+      batch.hour >= params_.num_hours) {
     ++f.corrupts;
     events_.push_back({tick_, feed, SupervisorEventKind::kCorruptBatch,
                        static_cast<std::int64_t>(batch.sequence),
@@ -351,37 +338,34 @@ void FeedSupervisor::accept_batch(std::size_t feed, FeedBatch&& batch) {
   const std::size_t delivered = batch.records.size();
   std::size_t rejected = 0;
   std::size_t repaired = 0;
-  if (f.validator) {
-    // Record-level pass: repair in place, compact rejected records out, and
-    // log every non-accepted verdict with provenance. Validation precedes
-    // the ingest push, so surviving records always satisfy its REQUIREs.
-    ledger_.begin_batch(static_cast<std::uint32_t>(feed), batch.sequence,
-                        batch.hour);
-    const auto hour = static_cast<std::size_t>(batch.hour);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < batch.records.size(); ++i) {
-      const quality::Verdict verdict =
-          f.validator->validate(batch.records[i], batch.hour);
-      ledger_.log(i, verdict);
-      if (verdict.action == quality::Action::kRejected) {
-        ++rejected;
-        ++f.rejected_by_hour[hour];
-        continue;
-      }
-      if (verdict.action == quality::Action::kRepaired) {
-        ++repaired;
-        ++f.repaired_by_hour[hour];
-      }
-      if (out != i) batch.records[out] = batch.records[i];
-      ++out;
+  // Record-level pass: repair in place, compact rejected records out, and
+  // log every non-accepted verdict with provenance. Validation precedes the
+  // ingest push, so surviving records always satisfy its REQUIREs.
+  ledger_.begin_batch(static_cast<std::uint32_t>(feed), batch.sequence,
+                      batch.hour);
+  const auto hour = static_cast<std::size_t>(batch.hour);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < batch.records.size(); ++i) {
+    const quality::Verdict verdict =
+        f.validator->validate(batch.records[i], batch.hour);
+    ledger_.log(i, verdict);
+    if (verdict.action == quality::Action::kRejected) {
+      ++rejected;
+      ++f.rejected_by_hour[hour];
+      continue;
     }
-    batch.records.resize(out);
-    if (rejected > 0 || repaired > 0) {
-      events_.push_back({tick_, feed,
-                         SupervisorEventKind::kRecordsQuarantined,
-                         static_cast<std::int64_t>(rejected),
-                         static_cast<std::int64_t>(repaired)});
+    if (verdict.action == quality::Action::kRepaired) {
+      ++repaired;
+      ++f.repaired_by_hour[hour];
     }
+    if (out != i) batch.records[out] = batch.records[i];
+    ++out;
+  }
+  batch.records.resize(out);
+  if (rejected > 0 || repaired > 0) {
+    events_.push_back({tick_, feed, SupervisorEventKind::kRecordsQuarantined,
+                       static_cast<std::int64_t>(rejected),
+                       static_cast<std::int64_t>(repaired)});
   }
 
   f.seen.insert(batch.sequence);
@@ -430,7 +414,8 @@ void FeedSupervisor::seal(std::size_t feed) {
                       [](std::uint32_t c) { return c != 0; });
       if (quarantined_records) {
         // Same contract as kCoverage: a clean feed's checkpoint carries no
-        // quality section and stays byte-identical to a pre-quality one.
+        // quality section and stays byte-identical to a plain StreamIngestor
+        // checkpoint.
         f.writer->append_quarantine(params_.num_hours, f.rejected_by_hour,
                                     f.repaired_by_hour);
       }
@@ -499,7 +484,6 @@ FeedStats FeedSupervisor::stats(std::size_t feed) const {
   stats.duplicate_batches = f.dups;
   stats.corrupt_batches = f.corrupts;
   stats.late_dropped = f.ingestor->late_dropped();
-  stats.untracked_dropped = f.ingestor->untracked_dropped();
   stats.records_repaired = std::accumulate(
       f.repaired_by_hour.begin(), f.repaired_by_hour.end(), std::size_t{0});
   stats.records_rejected = std::accumulate(

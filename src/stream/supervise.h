@@ -14,8 +14,11 @@
 //    (jitter_seed, feed, attempt). More than max_retries consecutive
 //    failures trip the circuit breaker: the feed is quarantined.
 //  * Quarantine: repeated corrupt batches (truncated deliveries, out-of-range
-//    records) or exhausted retries permanently remove the feed from polling;
-//    its already-validated data is kept and its coverage stops there.
+//    batch hours) or exhausted retries permanently remove the feed from
+//    polling; its already-validated data is kept and its coverage stops there.
+//  * Record quality: every record of an accepted batch passes a
+//    quality::RecordValidator; repairable defects are fixed in place and
+//    fatal ones drop just that record, logged to the quarantine ledger.
 //  * Dedup: redelivered batches are dropped by sequence number before they
 //    can double-count traffic.
 //  * Coverage: every accepted batch marks its event hour covered for the
@@ -32,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -71,14 +73,13 @@ struct SupervisorParams {
   /// Hard bound on run(); feeds still pending then are quarantined with
   /// reason kTimeout.
   std::int64_t max_ticks = 1'000'000;
-  /// Record-level data quality (opt-in). When set, the per-record range scan
-  /// of accept_batch is replaced by a quality::RecordValidator: repairable
-  /// defects are fixed in place, fatal ones drop just the offending record
-  /// (logged to the quarantine ledger with provenance) instead of striking
-  /// the whole batch. The roster/shape fields (antenna_ids, num_services,
-  /// num_hours) are overwritten per feed from the spec and these params.
-  /// Disengaged (the default) keeps the pre-quality behavior bit-for-bit.
-  std::optional<quality::ValidatorParams> quality;
+  /// Record-level data quality: each feed runs a quality::RecordValidator
+  /// with this policy. Repairable defects are fixed in place, fatal ones drop
+  /// just the offending record (logged to the quarantine ledger with
+  /// provenance). The roster/shape fields (antenna_ids, num_services,
+  /// num_hours) are overwritten per feed from the spec and these params. A
+  /// clean feed's checkpoint is byte-identical to a plain StreamIngestor's.
+  quality::ValidatorParams quality;
   /// All checkpoint I/O (create, recover, resume-append, seal) flows through
   /// this Vfs — the disk-fault seam of the chaos suite. nullptr (the
   /// default) is store::posix_vfs(), bit-identical to direct syscalls.
@@ -133,10 +134,9 @@ struct FeedStats {
   std::size_t stall_episodes = 0;
   std::size_t duplicate_batches = 0;
   std::size_t corrupt_batches = 0;
-  std::size_t late_dropped = 0;       ///< From the feed's ingestor.
-  std::size_t untracked_dropped = 0;  ///< From the feed's ingestor.
-  std::size_t records_repaired = 0;   ///< Quality layer (0 when disengaged).
-  std::size_t records_rejected = 0;   ///< Quality layer (0 when disengaged).
+  std::size_t late_dropped = 0;      ///< From the feed's ingestor.
+  std::size_t records_repaired = 0;  ///< From the feed's validator.
+  std::size_t records_rejected = 0;  ///< From the feed's validator.
   std::int64_t covered_hours = 0;
   /// Failed checkpoint append/sync attempts (defer_checkpoint_errors mode;
   /// 0 on a healthy disk). Surfaced study-wide through serve's kHealth.
@@ -245,14 +245,14 @@ class FeedSupervisor {
   /// Per-hour covered bitmap (0/1 bytes, length num_hours) of one feed.
   [[nodiscard]] std::span<const std::uint8_t> covered(std::size_t feed) const;
 
-  /// The study-wide quarantine ledger (empty when quality is disengaged).
+  /// The study-wide quarantine ledger (empty on a clean run).
   /// Entries carry the feed index as `probe`.
   [[nodiscard]] const quality::QuarantineLedger& quarantine_ledger() const {
     return ledger_;
   }
 
   /// Per-hour rejected/repaired record counts of one feed (length
-  /// num_hours; all zero when quality is disengaged).
+  /// num_hours; all zero on a clean run).
   [[nodiscard]] std::span<const std::uint32_t> rejected_by_hour(
       std::size_t feed) const;
   [[nodiscard]] std::span<const std::uint32_t> repaired_by_hour(

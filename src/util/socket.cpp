@@ -212,22 +212,4 @@ void write_all(int fd, std::span<const std::uint8_t> buf) {
   }
 }
 
-bool read_exact(int fd, std::span<std::uint8_t> buf) {
-  std::size_t at = 0;
-  while (at < buf.size()) {
-    const ssize_t n = ::read(fd, buf.data() + at, buf.size() - at);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail_errno("read");
-    }
-    if (n == 0) {
-      if (at == 0) return false;
-      throw IoError("socket: EOF mid-message (" + std::to_string(at) + "/" +
-                    std::to_string(buf.size()) + " bytes)");
-    }
-    at += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace icn::util

@@ -89,10 +89,7 @@ std::ptrdiff_t read_some(int fd, std::span<std::uint8_t> buf);
 /// reported as -1 (peer is gone).
 std::ptrdiff_t write_some(int fd, std::span<const std::uint8_t> buf);
 
-/// Blocking helpers for client-side request/reply exchanges.
+/// Blocking write of all of buf, for client-side request/reply exchanges.
 void write_all(int fd, std::span<const std::uint8_t> buf);
-/// Reads exactly buf.size() bytes. Returns false on clean EOF before the
-/// first byte; throws IoError on EOF mid-message or hard errors.
-bool read_exact(int fd, std::span<std::uint8_t> buf);
 
 }  // namespace icn::util

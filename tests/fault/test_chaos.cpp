@@ -151,9 +151,10 @@ ChaosRun run_chaos(std::uint64_t seed) {
     const auto stats = supervisor.stats(p);
     run.states.push_back(stats.state);
     // Self-check: every fault class in the sweep is benign except dropout,
-    // so nothing may be lost to lateness or address unknown antennas.
+    // so nothing may be lost to lateness or rejected by the validator (which
+    // is where a record addressing an unknown antenna would go).
     EXPECT_EQ(stats.late_dropped, 0u) << "probe " << p;
-    EXPECT_EQ(stats.untracked_dropped, 0u) << "probe " << p;
+    EXPECT_EQ(stats.records_rejected, 0u) << "probe " << p;
     std::map<std::int64_t, std::vector<double>> by_hour;
     for (const auto& window : supervisor.windows(p)) {
       by_hour.emplace(window.hour, window.cells);

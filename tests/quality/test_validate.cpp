@@ -105,18 +105,6 @@ TEST(RecordValidatorTest, RejectsHourOutsideStudy) {
   EXPECT_EQ(validator.validate(record, 12).defect, Defect::kHourOutOfStudy);
 }
 
-TEST(RecordValidatorTest, SkewRejectionWhenRepairDisabled) {
-  ValidatorParams p = study_params();
-  p.repair_clock_skew = false;
-  const RecordValidator validator(p);
-  ServiceSession record = clean_record();
-  record.hour = 15;
-  const Verdict v = validator.validate(record, 12);
-  EXPECT_EQ(v.action, Action::kRejected);
-  EXPECT_EQ(v.defect, Defect::kClockSkew);
-  EXPECT_EQ(record.hour, 15);
-}
-
 TEST(RecordValidatorTest, RepairsSignFlippedVolumeExactly) {
   const RecordValidator validator(study_params());
   ServiceSession record = clean_record();

@@ -79,6 +79,35 @@ void write_flavored_snapshot(const std::string& path, std::uint32_t flavor,
   writer.sync();
 }
 
+/// Steps a Server from the test thread and collects one client's reply
+/// payloads in arrival order.
+struct ReplyPump {
+  ReplyPump(Server& s, int fd) : server(s), client(fd) {}
+
+  /// Steps until `want` payloads have arrived in total (at most 200 rounds).
+  void operator()(std::size_t want) {
+    for (int i = 0; i < 200 && payloads.size() < want; ++i) {
+      server.step(1);
+      auto span = stream.grow_tail(4096);
+      const ssize_t n = ::recv(client, span.data(), span.size(), MSG_DONTWAIT);
+      stream.shrink_tail(span.size() -
+                         static_cast<std::size_t>(std::max<ssize_t>(0, n)));
+      while (true) {
+        const FrameResult frame =
+            try_parse_frame(stream.data(), kDefaultMaxFrame);
+        if (frame.kind != FrameResult::Kind::kFrame) break;
+        payloads.emplace_back(frame.payload.begin(), frame.payload.end());
+        stream.consume(frame.consumed);
+      }
+    }
+  }
+
+  Server& server;
+  int client;
+  icn::util::ByteQueue stream;
+  std::vector<std::vector<std::uint8_t>> payloads;
+};
+
 /// In-memory Transport test double: the test is the peer.
 class MemoryTransport final : public Transport {
  public:
@@ -584,7 +613,7 @@ TEST(ServeChaosTest, SlowLorisEvictedAtThePlannedTick) {
   std::uint64_t evicted_tick = 0;
   for (int i = 0; i < 50 && evicted_tick == 0; ++i) {
     server.step(1);
-    if (server.stats().sessions_evicted_deadline == 1) {
+    if (server.stats().evicted_deadline == 1) {
       evicted_tick = server.stats().ticks;
     }
   }
@@ -623,7 +652,7 @@ TEST(ServeChaosTest, IdleSessionEvictedAfterIdleDeadline) {
 
   for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
   EXPECT_EQ(server.num_sessions(), 0u);
-  EXPECT_EQ(server.stats().sessions_evicted_idle, 1u);
+  EXPECT_EQ(server.stats().evicted_idle, 1u);
 
   std::vector<std::uint8_t> bytes(256);
   std::size_t at = 0;
@@ -662,8 +691,8 @@ TEST(ServeChaosTest, ActiveSessionIsNotEvicted) {
                        static_cast<std::size_t>(std::max<ssize_t>(0, n)));
   }
   EXPECT_EQ(server.num_sessions(), 1u);
-  EXPECT_EQ(server.stats().sessions_evicted_idle, 0u);
-  EXPECT_EQ(server.stats().sessions_evicted_deadline, 0u);
+  EXPECT_EQ(server.stats().evicted_idle, 0u);
+  EXPECT_EQ(server.stats().evicted_deadline, 0u);
 }
 
 // --- Graceful drain ------------------------------------------------------
@@ -865,35 +894,17 @@ TEST(ServeChaosTest, HealthOpcodeReportsLiveCounters) {
   Server server(ServeConfig{}, registry);
   icn::util::Fd client = icn::util::connect_loopback(server.port());
 
-  icn::util::ByteQueue stream;
-  std::vector<std::vector<std::uint8_t>> payloads;
-  const auto pump = [&](std::size_t want) {
-    for (int i = 0; i < 200 && payloads.size() < want; ++i) {
-      server.step(1);
-      auto span = stream.grow_tail(4096);
-      const ssize_t n = ::recv(client.get(), span.data(), span.size(),
-                               MSG_DONTWAIT);
-      stream.shrink_tail(span.size() -
-                         static_cast<std::size_t>(std::max<ssize_t>(0, n)));
-      while (true) {
-        const FrameResult frame =
-            try_parse_frame(stream.data(), kDefaultMaxFrame);
-        if (frame.kind != FrameResult::Kind::kFrame) break;
-        payloads.emplace_back(frame.payload.begin(), frame.payload.end());
-        stream.consume(frame.consumed);
-      }
-    }
-  };
+  ReplyPump pump(server, client.get());
 
   // A ping first — fully served before the health call, so the health_
   // block refreshed at the top of a later step already counts it.
   icn::util::write_all(client.get(), build_request(1, Opcode::kPing));
   pump(1);
-  ASSERT_EQ(payloads.size(), 1u);
+  ASSERT_EQ(pump.payloads.size(), 1u);
   icn::util::write_all(client.get(), build_request(2, Opcode::kHealth));
   pump(2);
-  ASSERT_EQ(payloads.size(), 2u);
-  const auto health = decode_reply(payloads[1]);
+  ASSERT_EQ(pump.payloads.size(), 2u);
+  const auto health = decode_reply(pump.payloads[1]);
   ASSERT_TRUE(health.has_value());
   EXPECT_EQ(health->status, Status::kOk);
   EXPECT_EQ(health->opcode, Opcode::kHealth);
@@ -938,30 +949,12 @@ TEST(ServeChaosTest, HealthSurfacesCheckpointFailuresFromInstalledSource) {
       [&upstream_failures] { return upstream_failures; });
   icn::util::Fd client = icn::util::connect_loopback(server.port());
 
-  icn::util::ByteQueue stream;
-  std::vector<std::vector<std::uint8_t>> payloads;
-  const auto pump = [&](std::size_t want) {
-    for (int i = 0; i < 200 && payloads.size() < want; ++i) {
-      server.step(1);
-      auto span = stream.grow_tail(4096);
-      const ssize_t n = ::recv(client.get(), span.data(), span.size(),
-                               MSG_DONTWAIT);
-      stream.shrink_tail(span.size() -
-                         static_cast<std::size_t>(std::max<ssize_t>(0, n)));
-      while (true) {
-        const FrameResult frame =
-            try_parse_frame(stream.data(), kDefaultMaxFrame);
-        if (frame.kind != FrameResult::Kind::kFrame) break;
-        payloads.emplace_back(frame.payload.begin(), frame.payload.end());
-        stream.consume(frame.consumed);
-      }
-    }
-  };
+  ReplyPump pump(server, client.get());
 
   icn::util::write_all(client.get(), build_request(1, Opcode::kHealth));
   pump(1);
-  ASSERT_EQ(payloads.size(), 1u);
-  const auto health = decode_reply(payloads[0]);
+  ASSERT_EQ(pump.payloads.size(), 1u);
+  const auto health = decode_reply(pump.payloads[0]);
   ASSERT_TRUE(health.has_value());
   EXPECT_EQ(health->status, Status::kOk);
   ASSERT_EQ(health->body.size(), kHealthBodySize);
@@ -978,12 +971,98 @@ TEST(ServeChaosTest, HealthSurfacesCheckpointFailuresFromInstalledSource) {
   upstream_failures = 19;
   icn::util::write_all(client.get(), build_request(2, Opcode::kHealth));
   pump(2);
-  ASSERT_EQ(payloads.size(), 2u);
-  const auto refreshed = decode_reply(payloads[1]);
+  ASSERT_EQ(pump.payloads.size(), 2u);
+  const auto refreshed = decode_reply(pump.payloads[1]);
   ASSERT_TRUE(refreshed.has_value());
   ASSERT_EQ(refreshed->body.size(), kHealthBodySize);
   std::memcpy(&checkpoint_failures, refreshed->body.data() + 88, 8);
   EXPECT_EQ(checkpoint_failures, 19u);
+}
+
+TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
+  TempFile file("health_mirror.snap");
+  write_flavored_snapshot(file.path(), 0);
+  SnapshotRegistry registry;
+  registry.publish_file(file.path());
+  ServeConfig config;
+  config.max_connections = 1;
+  config.idle_deadline_ticks = 4;
+  config.request_deadline_ticks = 2;
+  Server server(config, registry);
+  server.set_checkpoint_failures_source([] { return std::uint64_t{7}; });
+
+  // A silent client holds the only slot, so the next three connections are
+  // refused; the holder is then evicted at its idle deadline.
+  icn::util::Fd holder = icn::util::connect_loopback(server.port());
+  server.step(1);
+  ASSERT_EQ(server.num_sessions(), 1u);
+  std::vector<icn::util::Fd> refused;
+  for (int i = 0; i < 3; ++i) {
+    refused.push_back(icn::util::connect_loopback(server.port()));
+  }
+  for (int i = 0; i < 20 && server.stats().connections_refused < 3; ++i) {
+    server.step(1);
+  }
+  for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
+  ASSERT_EQ(server.stats().evicted_idle, 1u);
+
+  // A slow loris takes the freed slot and is evicted at its request deadline.
+  icn::util::Fd loris = icn::util::connect_loopback(server.port());
+  server.step(1);
+  ASSERT_EQ(server.num_sessions(), 1u);
+  std::vector<std::uint8_t> partial;
+  put_u32(partial, 64);
+  icn::util::write_all(loris.get(), partial);
+  for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
+  ASSERT_EQ(server.stats().evicted_deadline, 1u);
+
+  // A failed publish keeps generation 1 serving and counts as degraded.
+  EXPECT_EQ(registry.try_publish_file(file.path() + ".missing"), 0u);
+
+  icn::util::Fd client = icn::util::connect_loopback(server.port());
+  ReplyPump pump(server, client.get());
+  icn::util::write_all(client.get(), build_request(1, Opcode::kPing));
+  pump(1);
+  ASSERT_EQ(pump.payloads.size(), 1u);
+  icn::util::write_all(client.get(), build_request(2, Opcode::kHealth));
+  pump(2);
+  ASSERT_EQ(pump.payloads.size(), 2u);
+  const auto health = decode_reply(pump.payloads[1]);
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->status, Status::kOk);
+  ASSERT_EQ(health->body.size(), kHealthBodySize);
+
+  // The reply was served in the last step, from the block refreshed at its
+  // top, so it must equal server.health() field for field. Layout: u32
+  // version, u32 open_sessions, 11 u64 counters, then the draining byte.
+  const HealthInfo& expected = server.health();
+  const std::uint8_t* body = health->body.data();
+  std::uint32_t open_sessions = 0;
+  std::memcpy(&open_sessions, body + 4, 4);
+  EXPECT_EQ(open_sessions, expected.open_sessions);
+  EXPECT_EQ(open_sessions, 1u);
+  constexpr std::uint64_t HealthInfo::*kCounters[] = {
+      &HealthInfo::latest_generation,    &HealthInfo::degraded_publishes,
+      &HealthInfo::connections_accepted, &HealthInfo::connections_refused,
+      &HealthInfo::connections_closed,   &HealthInfo::frames_served,
+      &HealthInfo::ticks,                &HealthInfo::evicted_idle,
+      &HealthInfo::evicted_deadline,     &HealthInfo::shutdown_rejects,
+      &HealthInfo::checkpoint_failures,
+  };
+  for (std::size_t i = 0; i < std::size(kCounters); ++i) {
+    std::uint64_t got = 0;
+    std::memcpy(&got, body + 8 + 8 * i, 8);
+    EXPECT_EQ(got, expected.*kCounters[i]) << "u64 counter " << i;
+    // Only shutdown_rejects needs a drain, which would refuse this request.
+    if (kCounters[i] != &HealthInfo::shutdown_rejects) {
+      EXPECT_GT(got, 0u) << "u64 counter " << i << " was never driven";
+    }
+  }
+  EXPECT_EQ(body[8 + 8 * std::size(kCounters)], expected.draining);
+  EXPECT_EQ(expected.connections_refused, 3u);
+  EXPECT_EQ(expected.connections_closed, 2u);
+  EXPECT_EQ(expected.evicted_idle, 1u);
+  EXPECT_EQ(expected.checkpoint_failures, 7u);
 }
 
 // --- Concurrent chaos soak -----------------------------------------------

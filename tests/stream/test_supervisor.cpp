@@ -139,8 +139,13 @@ TEST(FeedSupervisorTest, ZeroFaultSingleFeedMatchesStreamIngestorBitForBit) {
     EXPECT_EQ(stats.batches_accepted, script.size());
     EXPECT_EQ(stats.covered_hours, kHours);
     EXPECT_EQ(stats.late_dropped, 0u);
+    // The validator found nothing to repair or reject on a clean feed.
+    EXPECT_EQ(stats.records_rejected, 0u);
+    EXPECT_EQ(stats.records_repaired, 0u);
+    EXPECT_TRUE(supervisor.quarantine_ledger().entries().empty());
 
-    // Windows, merged totals, and the checkpoint bytes are all identical.
+    // Windows, merged totals, and the checkpoint bytes are all identical: a
+    // clean feed's checkpoint carries no kQuarantine section.
     StreamIngestor check(ingest);
     for (const auto& batch : script) check.push(batch.records);
     check.finish();
@@ -157,6 +162,7 @@ TEST(FeedSupervisorTest, ZeroFaultSingleFeedMatchesStreamIngestorBitForBit) {
     const MergedStudy study = supervisor.merge();
     expect_matrices_equal(study.traffic, check.traffic_matrix());
     EXPECT_TRUE(study.coverage.complete());
+    EXPECT_FALSE(study.quarantine.any());
 
     const auto ref_bytes = read_file(reference.path());
     const auto sup_bytes = read_file(supervised.path());
@@ -427,43 +433,6 @@ TEST(FeedSupervisorTest, TimeoutQuarantinesPendingFeeds) {
   EXPECT_TRUE(supervisor.finished());
 }
 
-SupervisorParams quality_params(std::size_t shards = 1) {
-  auto params = base_params(shards);
-  params.quality.emplace();
-  return params;
-}
-
-TEST(FeedSupervisorTest, QualityEngagedOnCleanFeedChangesNothing) {
-  const std::vector<std::uint32_t> ids = {11, 22, 33};
-  const auto sessions = probe_sessions(ids, 77);
-  const auto script = hourly_script(sessions, kHours);
-
-  TempFile plain_ckpt("plainq.snap");
-  TempFile quality_ckpt("qualityq.snap");
-  VectorFeed plain_feed{script};
-  VectorFeed quality_feed{script};
-
-  FeedSupervisor plain(base_params(),
-                       {{"probe-0", ids, &plain_feed, plain_ckpt.path()}});
-  plain.run();
-  FeedSupervisor with_quality(
-      quality_params(), {{"probe-0", ids, &quality_feed, quality_ckpt.path()}});
-  with_quality.run();
-
-  EXPECT_TRUE(with_quality.quarantine_ledger().entries().empty());
-  EXPECT_EQ(with_quality.stats(0).records_rejected, 0u);
-  EXPECT_EQ(with_quality.stats(0).records_repaired, 0u);
-  // A clean feed's checkpoint carries no kQuarantine section: byte-identical.
-  EXPECT_EQ(read_file(plain_ckpt.path()), read_file(quality_ckpt.path()));
-
-  const MergedStudy a = plain.merge();
-  const MergedStudy b = with_quality.merge();
-  expect_matrices_equal(a.traffic, b.traffic);
-  EXPECT_TRUE(a.coverage == b.coverage);
-  EXPECT_TRUE(a.quarantine == b.quarantine);
-  EXPECT_FALSE(b.quarantine.any());
-}
-
 TEST(FeedSupervisorTest, QualityRepairsAndRejectsPerRecord) {
   const std::vector<std::uint32_t> ids = {11, 22, 33};
   const auto sessions = probe_sessions(ids, 42);
@@ -480,7 +449,7 @@ TEST(FeedSupervisorTest, QualityRepairsAndRejectsPerRecord) {
 
   TempFile ckpt("quality_defects.snap");
   VectorFeed feed{script};
-  FeedSupervisor supervisor(quality_params(),
+  FeedSupervisor supervisor(base_params(),
                             {{"probe-0", ids, &feed, ckpt.path()}});
   supervisor.run();
 
@@ -551,11 +520,11 @@ TEST(FeedSupervisorTest, QualityRepairedRunMatchesCleanRunBitForBit) {
   VectorFeed clean_feed{clean_script};
   VectorFeed damaged_feed{damaged_script};
 
-  FeedSupervisor clean(quality_params(),
+  FeedSupervisor clean(base_params(),
                        {{"probe-0", ids, &clean_feed, clean_ckpt.path()}});
   clean.run();
   FeedSupervisor damaged(
-      quality_params(), {{"probe-0", ids, &damaged_feed, damaged_ckpt.path()}});
+      base_params(), {{"probe-0", ids, &damaged_feed, damaged_ckpt.path()}});
   damaged.run();
 
   EXPECT_EQ(damaged.stats(0).records_repaired, 3u);
@@ -630,7 +599,7 @@ TEST(FeedSupervisorTest, ResumeRegeneratesSealSectionsOfFinishedFeeds) {
 
   TempFile ref("seal_ref.snap");
   VectorFeed ref_feed{script};
-  FeedSupervisor reference(quality_params(),
+  FeedSupervisor reference(base_params(),
                            {{"probe-0", ids, &ref_feed, ref.path()}});
   reference.run();
 
@@ -638,13 +607,13 @@ TEST(FeedSupervisorTest, ResumeRegeneratesSealSectionsOfFinishedFeeds) {
   TempFile sealed("seal_resume.snap");
   {
     VectorFeed feed{script};
-    FeedSupervisor first(quality_params(),
+    FeedSupervisor first(base_params(),
                          {{"probe-0", ids, &feed, sealed.path()}});
     first.run();
   }
   VectorFeed replay{script};
   FeedSupervisor resumed = FeedSupervisor::resume(
-      quality_params(), {{"probe-0", ids, &replay, sealed.path()}});
+      base_params(), {{"probe-0", ids, &replay, sealed.path()}});
   resumed.run();
 
   EXPECT_EQ(read_file(ref.path()), read_file(sealed.path()));

@@ -157,9 +157,9 @@ TEST(ThreadPoolTest, GarbageIcnThreadsThrowsTypedError) {
 
 TEST(ThreadPoolTest, StealingCoversSkewedWorkExactlyOnce) {
   // A pathologically skewed workload: one early chunk carries almost all the
-  // work. Under kSteal the other lanes drain the straggler's block; every
+  // work. The other lanes drain the straggler's block by stealing; every
   // chunk must still run exactly once.
-  ThreadPool::ScopedOverride pool(4, ThreadPool::Schedule::kSteal);
+  ThreadPool::ScopedOverride pool(4);
   std::vector<std::atomic<int>> hits(512);
   parallel_for(0, hits.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -174,17 +174,18 @@ TEST(ThreadPoolTest, StealingCoversSkewedWorkExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, StaticScheduleMatchesStealBitForBit) {
-  // Chunk contents are a pure function of (begin, end, grain), so the two
-  // schedules — and any thread count — produce identical reduce results.
+TEST(ThreadPoolTest, StealingReduceMatchesSerialBitForBit) {
+  // Chunk contents are a pure function of (begin, end, grain), so whichever
+  // lane runs (or steals) a chunk, every thread count produces the serial
+  // reduce result.
   std::vector<double> values(4'096);
   double v = 0.5;
   for (auto& x : values) {
     v = v * 1.00021 + 0.013;
     x = v;
   }
-  auto run = [&](std::size_t threads, ThreadPool::Schedule schedule) {
-    ThreadPool::ScopedOverride pool(threads, schedule);
+  auto run = [&](std::size_t threads) {
+    ThreadPool::ScopedOverride pool(threads);
     return parallel_reduce(
         std::size_t{0}, values.size(), std::size_t{53}, 0.0,
         [&](std::size_t lo, std::size_t hi) {
@@ -194,41 +195,37 @@ TEST(ThreadPoolTest, StaticScheduleMatchesStealBitForBit) {
         },
         [](double a, double b) { return a + b; });
   };
-  const double serial = run(1, ThreadPool::Schedule::kStatic);
-  EXPECT_EQ(serial, run(4, ThreadPool::Schedule::kStatic));
-  EXPECT_EQ(serial, run(4, ThreadPool::Schedule::kSteal));
-  EXPECT_EQ(serial, run(8, ThreadPool::Schedule::kSteal));
+  const double serial = run(1);
+  EXPECT_EQ(serial, run(4));
+  EXPECT_EQ(serial, run(8));
 }
 
 TEST(ThreadPoolTest, LowestIndexedChunkExceptionWins) {
   // Every chunk throws its own index after recording that it ran. Whatever
   // subset got executed before cancellation, the rethrown exception must be
   // the LOWEST index that actually threw — by chunk index, not wall order.
-  for (const auto schedule :
-       {ThreadPool::Schedule::kStatic, ThreadPool::Schedule::kSteal}) {
-    ThreadPool::ScopedOverride pool(4, schedule);
-    constexpr std::size_t kChunks = 256;
-    std::vector<std::atomic<int>> threw(kChunks);
-    std::size_t reported = kChunks;
-    try {
-      parallel_for(0, kChunks, 1, [&](std::size_t lo, std::size_t) {
-        threw[lo].store(1, std::memory_order_relaxed);
-        throw std::runtime_error(std::to_string(lo));
-      });
-      FAIL() << "expected a rethrown chunk exception";
-    } catch (const std::runtime_error& e) {
-      reported = static_cast<std::size_t>(std::stoul(e.what()));
-    }
-    std::size_t lowest = kChunks;
-    for (std::size_t i = 0; i < kChunks; ++i) {
-      if (threw[i].load() != 0) {
-        lowest = i;
-        break;
-      }
-    }
-    ASSERT_LT(lowest, kChunks);
-    EXPECT_EQ(reported, lowest);
+  ThreadPool::ScopedOverride pool(4);
+  constexpr std::size_t kChunks = 256;
+  std::vector<std::atomic<int>> threw(kChunks);
+  std::size_t reported = kChunks;
+  try {
+    parallel_for(0, kChunks, 1, [&](std::size_t lo, std::size_t) {
+      threw[lo].store(1, std::memory_order_relaxed);
+      throw std::runtime_error(std::to_string(lo));
+    });
+    FAIL() << "expected a rethrown chunk exception";
+  } catch (const std::runtime_error& e) {
+    reported = static_cast<std::size_t>(std::stoul(e.what()));
   }
+  std::size_t lowest = kChunks;
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    if (threw[i].load() != 0) {
+      lowest = i;
+      break;
+    }
+  }
+  ASSERT_LT(lowest, kChunks);
+  EXPECT_EQ(reported, lowest);
 }
 
 TEST(ThreadPoolTest, SerialExceptionIsFirstChunkDeterministically) {
