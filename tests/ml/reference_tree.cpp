@@ -352,4 +352,17 @@ Matrix tree_shap(const DecisionTree& tree, std::span<const double> x) {
   return phi;
 }
 
+Matrix forest_shap(const RandomForest& forest, std::span<const double> x) {
+  Matrix acc(x.size(), static_cast<std::size_t>(forest.num_classes()));
+  for (const DecisionTree& tree : forest.trees()) {
+    const Matrix phi = tree_shap(tree, x);
+    for (std::size_t i = 0; i < acc.data().size(); ++i) {
+      acc.data()[i] += phi.data()[i];
+    }
+  }
+  const double inv = 1.0 / static_cast<double>(forest.trees().size());
+  for (auto& v : acc.data()) v *= inv;
+  return acc;
+}
+
 }  // namespace icn::ml::reference

@@ -1,9 +1,9 @@
 // Reference implementations of the surrogate stage, kept as the parity
 // baselines for the production code in src/ml: the per-node-sort CART
 // builder, the forest fit and prediction that sum a copy of every tree's leaf
-// distribution, and TreeSHAP with one unwound_sum recursion per path element.
-// The production tree builder, forest and TreeSHAP must reproduce these bit
-// for bit (DESIGN.md §6.5).
+// distribution, and TreeSHAP with one unwound_sum recursion per path element
+// (and its forest mean). The production tree builder, forest and TreeSHAP
+// must reproduce these bit for bit (DESIGN.md §6.5).
 #pragma once
 
 #include <cstddef>
@@ -47,5 +47,9 @@ std::vector<double> forest_proba(const Forest& forest, int num_classes,
 /// TreeSHAP (Lundberg et al. 2020, Alg. 2) with each leaf's contributions
 /// summed one path element at a time.
 Matrix tree_shap(const DecisionTree& tree, std::span<const double> x);
+
+/// Forest SHAP as the mean of tree_shap over the trees: each tree's values
+/// add into a zeroed sum in index order, then the sum scales by 1/T.
+Matrix forest_shap(const RandomForest& forest, std::span<const double> x);
 
 }  // namespace icn::ml::reference

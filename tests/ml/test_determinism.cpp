@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "ml/treeshap.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+
+#include "reference_tree.h"
 
 namespace icn::ml {
 namespace {
@@ -207,14 +210,17 @@ TEST(ThreadDeterminismTest, TreeShapBatchBitIdentical) {
       ASSERT_EQ(a[i], b[i]) << "row " << r << " slot " << i;
     }
   }
-  // The batch is also bit-identical to the serial row-by-row reference.
+  // The batch is also bit-identical to the reference recursion, summed per
+  // tree in index order and then scaled. (forest_shap shares the batch's
+  // walk, so it could not serve as the reference.)
   for (std::size_t r = 0; r < x.rows(); r += 11) {
-    const Matrix ref = forest_shap(forest, x.row(r));
+    const Matrix ref = reference::forest_shap(forest, x.row(r));
     const auto got = shap8[r].data();
     ASSERT_EQ(ref.data().size(), got.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(ref.data()[i], got[i]) << "row " << r << " slot " << i;
-    }
+    ASSERT_EQ(std::memcmp(ref.data().data(), got.data(),
+                          got.size() * sizeof(double)),
+              0)
+        << "row " << r;
   }
 }
 
