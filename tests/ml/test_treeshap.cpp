@@ -247,6 +247,26 @@ TEST(ForestShapTest, IsMeanOfTreeShap) {
   }
 }
 
+TEST(ForestShapTest, RejectsRowsOfAnotherWidth) {
+  // The walk reads x[f] and writes phi row f for every split feature f, so a
+  // row narrower than the training data would reach past both.
+  std::vector<int> y;
+  const Matrix x = make_data(120, 4, 23, &y);
+  RandomForest forest;
+  RandomForest::Params params;
+  params.num_trees = 3;
+  forest.fit(x, y, 3, params);
+  const std::vector<double> narrow = {0.1, 0.2, 0.3};
+  const std::vector<double> wide = {0.1, 0.2, 0.3, 0.4, 0.5};
+  for (const auto& row : {narrow, wide}) {
+    EXPECT_THROW(tree_shap(forest.trees().front(), row),
+                 icn::util::PreconditionError);
+    EXPECT_THROW(forest_shap(forest, row), icn::util::PreconditionError);
+    EXPECT_THROW(forest_shap_batch(forest, Matrix(5, row.size())),
+                 icn::util::PreconditionError);
+  }
+}
+
 TEST(ConditionalExpectationTest, FullMaskIsPrediction) {
   std::vector<int> y;
   const Matrix x = make_data(150, 4, 29, &y);
@@ -275,6 +295,11 @@ TEST(ConditionalExpectationTest, MaskSizeValidated) {
   const auto tree = fit_tree(x, y, 3);
   EXPECT_THROW(
       tree_conditional_expectation(tree, x.row(0), std::vector<bool>(2)),
+      icn::util::PreconditionError);
+  // A row narrower than the training data, even with a mask of its size.
+  const std::vector<double> narrow = {0.1, 0.2};
+  EXPECT_THROW(
+      tree_conditional_expectation(tree, narrow, std::vector<bool>(2)),
       icn::util::PreconditionError);
 }
 
