@@ -3,9 +3,9 @@
 // random-forest training, TreeSHAP per explanation and per batch, the
 // probe-path aggregation throughput, the scalar and AVX2 SIMD kernels
 // (distance, x4 row-batched distance, RSCA row, labeled sums), the tiled
-// condensed-distance sweep, scratch-arena vs heap allocation, CRC32C
-// backends, the Hungarian assignment, seasonal batch fitting, and the
-// work-stealing scheduler on a skewed workload. Emits
+// condensed-distance sweep, CRC32C backends, the Hungarian assignment,
+// seasonal batch fitting, and the work-stealing scheduler on a skewed
+// workload. Emits
 // BENCH_perf_algorithms.json via bench/report.h.
 #include <benchmark/benchmark.h>
 
@@ -31,7 +31,6 @@
 #include "report.h"
 #include "store/crc32c.h"
 #include "traffic/flows.h"
-#include "util/arena.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -358,37 +357,6 @@ void BM_CondensedDistances(benchmark::State& state) {
 BENCHMARK(BM_CondensedDistances)
     ->ArgsProduct({{512, 2000}, {16, 64, 256}})
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Scratch arena vs heap for short-lived hot-path buffers. The heap variant
-// pays malloc/free plus the vector's zero-fill every round trip; the arena
-// rewinds a bump pointer over memory it already owns.
-
-// args: {doubles}
-void BM_ScratchAllocHeap(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> buf(n);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetLabel("heap");
-}
-BENCHMARK(BM_ScratchAllocHeap)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kNanosecond);
-
-// args: {doubles}
-void BM_ScratchAllocArena(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto& arena = icn::util::scratch_arena();
-  for (auto _ : state) {
-    const icn::util::Arena::Frame frame(arena);
-    const auto buf = arena.alloc_span<double>(n);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetLabel("arena");
-}
-BENCHMARK(BM_ScratchAllocArena)->Arg(64)->Arg(1024)
-    ->Unit(benchmark::kNanosecond);
 
 // ---------------------------------------------------------------------------
 // CRC32C backends: slicing-by-8 table vs the SSE4.2 crc32 instruction over a

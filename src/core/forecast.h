@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,16 +24,6 @@ class SeasonalForecaster {
   /// the study period, hour 0 of Monday 21 Nov 2022). Requires at least one
   /// full season of data.
   void fit(std::span<const double> series, std::size_t season_hours = 168);
-
-  /// Degraded-coverage fit: only samples whose `covered` byte is nonzero
-  /// contribute to their slot median, so dropout hours (recorded as zeros in
-  /// the tensor) cannot drag the seasonal profile down. A slot with no
-  /// covered sample falls back to the median over all covered samples.
-  /// Requires covered.size() == series.size(), series at least one season
-  /// long, and at least one covered sample.
-  void fit_masked(std::span<const double> series,
-                  std::span<const std::uint8_t> covered,
-                  std::size_t season_hours = 168);
 
   [[nodiscard]] bool is_fitted() const { return !slot_median_.empty(); }
 
@@ -57,38 +46,6 @@ class SeasonalForecaster {
 [[nodiscard]] std::vector<SeasonalForecaster> fit_seasonal_batch(
     std::span<const std::span<const double>> series,
     std::size_t season_hours = 168);
-
-/// Additive Holt-Winters (triple exponential smoothing) with a weekly
-/// season — the classic step up from the seasonal median when the traffic
-/// carries a trend (e.g. a slowly filling office building).
-class HoltWintersForecaster {
- public:
-  /// Smoothing parameters, each in (0, 1).
-  struct Params {
-    double alpha = 0.2;   ///< Level smoothing.
-    double beta = 0.05;   ///< Trend smoothing.
-    double gamma = 0.10;  ///< Seasonal smoothing.
-  };
-
-  /// Fits on an hourly series starting at slot 0 with default smoothing.
-  /// Requires at least two full seasons.
-  void fit(std::span<const double> series, std::size_t season_hours = 168);
-
-  /// Same with explicit smoothing parameters.
-  void fit(std::span<const double> series, std::size_t season_hours,
-           const Params& params);
-
-  [[nodiscard]] bool is_fitted() const { return !seasonal_.empty(); }
-
-  /// Predicts the `horizon` hours following the training series.
-  [[nodiscard]] std::vector<double> forecast(std::size_t horizon) const;
-
- private:
-  double level_ = 0.0;
-  double trend_ = 0.0;
-  std::vector<double> seasonal_;
-  std::size_t train_hours_ = 0;
-};
 
 /// Symmetric mean absolute percentage error (sMAPE, in [0, 2]): robust to
 /// near-zero hours, which dominate night traffic. Requires equal non-empty

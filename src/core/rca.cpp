@@ -86,11 +86,13 @@ ml::Matrix compute_rca(const ml::Matrix& traffic) {
 }
 
 ml::Matrix rca_to_rsca(const ml::Matrix& rca) {
-  for (const double v : rca.data()) {
-    ICN_REQUIRE(v >= 0.0, "negative RCA");
-  }
   ml::Matrix rsca(rca.rows(), rca.cols());
-  ml::rsca_map(rca.data(), rsca.data());
+  const auto in = rca.data();
+  const auto out = rsca.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ICN_REQUIRE(in[i] >= 0.0, "negative RCA");
+    out[i] = (in[i] - 1.0) / (in[i] + 1.0);
+  }
   return rsca;
 }
 

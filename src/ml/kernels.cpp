@@ -31,12 +31,6 @@ void rsca_row_scalar(const double* t, const double* s, double total,
   }
 }
 
-void rsca_map_scalar(const double* v, std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = (v[i] - 1.0) / (v[i] + 1.0);
-  }
-}
-
 // ---- silhouette / Dunn segment kernels ----------------------------------
 //
 // labeled_sums: per cluster c, the canonical 4-lane order over positions —
@@ -134,19 +128,6 @@ __attribute__((target("avx2"))) void rsca_row_avx2(const double* t,
   }
 }
 
-__attribute__((target("avx2"))) void rsca_map_avx2(const double* v,
-                                                   std::size_t n,
-                                                   double* out) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(v + i);
-    _mm256_storeu_pd(out + i,
-                     _mm256_div_pd(_mm256_sub_pd(x, one), _mm256_add_pd(x, one)));
-  }
-  for (; i < n; ++i) out[i] = (v[i] - 1.0) / (v[i] + 1.0);
-}
-
 __attribute__((target("avx2"))) void labeled_sums_avx2(const double* d,
                                                        const int* labels,
                                                        std::size_t n,
@@ -228,9 +209,6 @@ void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out) {
   rsca_row_scalar(t, s, total, n, out);
 }
-void rsca_map_avx2(const double* v, std::size_t n, double* out) {
-  rsca_map_scalar(v, n, out);
-}
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,
                        std::size_t k, double* sums) {
   labeled_sums_scalar(d, labels, n, k, sums);
@@ -252,13 +230,6 @@ void rsca_row(std::span<const double> traffic, std::span<const double> shares,
   static const auto kernel = icn::util::pick_kernel(detail::rsca_row_scalar,
                                                     detail::rsca_row_avx2);
   kernel(traffic.data(), shares.data(), row_total, traffic.size(), out.data());
-}
-
-void rsca_map(std::span<const double> rca, std::span<double> out) {
-  ICN_REQUIRE(rca.size() == out.size(), "rsca_map extents");
-  static const auto kernel = icn::util::pick_kernel(detail::rsca_map_scalar,
-                                                    detail::rsca_map_avx2);
-  kernel(rca.data(), rca.size(), out.data());
 }
 
 void labeled_sums(std::span<const double> d, std::span<const int> labels,

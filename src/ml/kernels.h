@@ -9,15 +9,14 @@
 //     collapse to (t_j - T*s_j) / (t_j + T*s_j) — one divide per element
 //     instead of three. Services unseen in the baseline (s_j <= 0) map to
 //     0.0 (the neutral RCA = 1 of the unfused path).
-//   - rsca_map: element-wise (v-1)/(v+1), the standalone RCA->RSCA map.
 //   - labeled_sums: per-cluster sums of a distance segment, the silhouette
 //     a/b building block.
 //   - labeled_extrema: masked min/max of a distance segment split by
 //     same-label vs cross-label, the Dunn building block.
 //
-// Determinism: rsca_row and rsca_map are purely element-wise (every output
-// element is a fixed expression of the corresponding inputs), so both lanes
-// produce identical bits by IEEE semantics alone. labeled_sums accumulates
+// Determinism: rsca_row is purely element-wise (every output element is a
+// fixed expression of the corresponding inputs), so both lanes produce
+// identical bits by IEEE semantics alone. labeled_sums accumulates
 // per cluster in the canonical 4-lane order of ml/distance.h, with the
 // conditional add defined as `acc += (label == c ? d : 0.0)` per lane slot.
 // labeled_extrema uses `acc = (acc < x) ? x : acc` / `(x < acc) ? x : acc`
@@ -35,10 +34,6 @@ namespace icn::ml {
 /// (t[j] + T*s[j]), or 0.0 where s[j] <= 0. Requires equal extents.
 void rsca_row(std::span<const double> traffic, std::span<const double> shares,
               double row_total, std::span<double> out);
-
-/// Element-wise RCA -> RSCA map: out[i] = (v[i]-1)/(v[i]+1). The caller
-/// validates non-negativity (see core/rca.cpp). Requires equal extents.
-void rsca_map(std::span<const double> rca, std::span<double> out);
 
 /// sums[c] += sum of d[j] where labels[j] == c, for each c in [0, k), in the
 /// canonical 4-lane order. labels[j] must be in [0, k). Requires
@@ -61,9 +56,6 @@ void rsca_row_scalar(const double* t, const double* s, double total,
                      std::size_t n, double* out);
 void rsca_row_avx2(const double* t, const double* s, double total,
                    std::size_t n, double* out);
-
-void rsca_map_scalar(const double* v, std::size_t n, double* out);
-void rsca_map_avx2(const double* v, std::size_t n, double* out);
 
 void labeled_sums_scalar(const double* d, const int* labels, std::size_t n,
                          std::size_t k, double* sums);

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <utility>
 
-#include "util/arena.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -75,20 +74,21 @@ struct Split {
 /// 2^53 for any node of fewer than 2^26 rows) and is kept up to date per
 /// element instead of being re-summed over the classes at every cut: the
 /// gain at a cut comes out bit for bit as the per-cut sum gives it.
+/// `labels`, `keys` and `spare` hold at least idx.size() slots and `left`
+/// counts.size(); their contents on entry do not matter.
 Split best_split(const FeatureRanks& ranks, std::span<const int> y,
                  std::span<const std::uint32_t> idx,
                  std::span<const std::size_t> features,
                  std::span<const std::int64_t> counts, std::int64_t node_sq,
                  double node_gini, std::size_t min_samples_leaf,
-                 icn::util::Arena& arena) {
+                 std::span<std::uint64_t> labels, std::span<std::uint64_t> keys,
+                 std::span<std::uint64_t> spare, std::span<std::int64_t> left) {
   const std::size_t n = idx.size();
   const double node_n = static_cast<double>(n);
   const double min_leaf = static_cast<double>(min_samples_leaf);
-  const std::span<std::uint64_t> labels = arena.alloc_span<std::uint64_t>(n);
-  const std::span<std::uint64_t> keys = arena.alloc_span<std::uint64_t>(n);
-  const std::span<std::uint64_t> spare = arena.alloc_span<std::uint64_t>(n);
-  const std::span<std::int64_t> left =
-      arena.alloc_span<std::int64_t>(counts.size());
+  labels = labels.first(n);
+  keys = keys.first(n);
+  spare = spare.first(n);
   for (std::size_t i = 0; i < n; ++i) {
     labels[i] = static_cast<std::uint32_t>(y[idx[i]]);
   }
@@ -127,6 +127,23 @@ Split best_split(const FeatureRanks& ranks, std::span<const int> y,
 }
 
 }  // namespace
+
+/// Fit sizes these for the root node and build reuses them at every node: a
+/// node is done with them before its children are built, and no node has
+/// more rows than the root.
+struct DecisionTree::SplitScratch {
+  SplitScratch(std::size_t rows, std::size_t classes, std::size_t columns)
+      : labels(rows),
+        keys(rows),
+        spare(rows),
+        counts(classes),
+        left(classes),
+        features(columns) {}
+
+  std::vector<std::uint64_t> labels, keys, spare;
+  std::vector<std::int64_t> counts, left;
+  std::vector<std::size_t> features;
+};
 
 FeatureRanks::FeatureRanks(const Matrix& x)
     : rows_(x.rows()),
@@ -199,23 +216,24 @@ void DecisionTree::fit(const FeatureRanks& ranks, std::span<const int> y,
       idx.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  build(ranks, y, params, rng, idx, 0);
+  SplitScratch scratch(idx.size(), static_cast<std::size_t>(num_classes),
+                       num_features_);
+  build(ranks, y, params, rng, idx, 0, scratch);
 }
 
 int DecisionTree::build(const FeatureRanks& ranks, std::span<const int> y,
                         const Params& params, icn::util::Rng& rng,
-                        std::span<std::uint32_t> idx, std::size_t depth) {
+                        std::span<std::uint32_t> idx, std::size_t depth,
+                        SplitScratch& scratch) {
   const std::size_t n = idx.size();
   const auto k = static_cast<std::size_t>(num_classes_);
   const double node_n = static_cast<double>(n);
   const int node_id = static_cast<int>(nodes_.size());
-  icn::util::Arena& arena = icn::util::scratch_arena();
 
   Split best;
   {
-    // The node's scratch dies here, before its children are built.
-    const icn::util::Arena::Frame frame(arena);
-    const std::span<std::int64_t> counts = arena.alloc_span<std::int64_t>(k);
+    // The node is done with its scratch here, before its children are built.
+    std::vector<std::int64_t>& counts = scratch.counts;
     std::fill(counts.begin(), counts.end(), 0);
     for (const std::uint32_t i : idx) ++counts[static_cast<std::size_t>(y[i])];
     std::int64_t node_sq = 0;
@@ -235,8 +253,7 @@ int DecisionTree::build(const FeatureRanks& ranks, std::span<const int> y,
     }
 
     // Candidate features: a random subset of size max_features (all when 0).
-    const std::span<std::size_t> features =
-        arena.alloc_span<std::size_t>(num_features_);
+    std::vector<std::size_t>& features = scratch.features;
     std::iota(features.begin(), features.end(), std::size_t{0});
     const std::size_t mtry = params.max_features == 0
                                  ? num_features_
@@ -246,8 +263,10 @@ int DecisionTree::build(const FeatureRanks& ranks, std::span<const int> y,
       const std::size_t j = i + rng.uniform_index(num_features_ - i);
       std::swap(features[i], features[j]);
     }
-    best = best_split(ranks, y, idx, features.first(mtry), counts, node_sq,
-                      node_gini, params.min_samples_leaf, arena);
+    best = best_split(ranks, y, idx, std::span(features).first(mtry), counts,
+                      node_sq, node_gini, params.min_samples_leaf,
+                      scratch.labels, scratch.keys, scratch.spare,
+                      scratch.left);
   }
   if (best.gain <= 0.0) return node_id;
 
@@ -267,9 +286,9 @@ int DecisionTree::build(const FeatureRanks& ranks, std::span<const int> y,
   importance_[best.feature] += node_n * best.gain;
 
   const int left_id =
-      build(ranks, y, params, rng, idx.first(mid), depth + 1);
+      build(ranks, y, params, rng, idx.first(mid), depth + 1, scratch);
   const int right_id =
-      build(ranks, y, params, rng, idx.subspan(mid), depth + 1);
+      build(ranks, y, params, rng, idx.subspan(mid), depth + 1, scratch);
   TreeNode& node = nodes_[static_cast<std::size_t>(node_id)];
   node.feature = static_cast<int>(best.feature);
   node.threshold = threshold;

@@ -117,9 +117,13 @@ class DecisionTree {
   std::size_t num_features_ = 0;
   std::vector<double> importance_;
 
+  /// The split search's buffers, sized by fit() for the root node.
+  struct SplitScratch;
+
   int build(const FeatureRanks& ranks, std::span<const int> y,
             const Params& params, icn::util::Rng& rng,
-            std::span<std::uint32_t> idx, std::size_t depth);
+            std::span<std::uint32_t> idx, std::size_t depth,
+            SplitScratch& scratch);
 };
 
 }  // namespace icn::ml

@@ -130,13 +130,6 @@ void Server::accept_pending(std::uint64_t tick) {
       stats_.connections_refused += 1;
       continue;  // Fd closes on scope exit.
     }
-    Session::Limits limits;
-    limits.max_frame = config_.max_frame;
-    limits.write_high_water = config_.write_high_water;
-    limits.rate_tokens_per_tick = config_.rate_tokens_per_tick;
-    limits.rate_burst = config_.rate_burst;
-    limits.idle_deadline_ticks = config_.idle_deadline_ticks;
-    limits.request_deadline_ticks = config_.request_deadline_ticks;
     std::unique_ptr<Transport> transport =
         std::make_unique<SocketTransport>(std::move(fd));
     if (transport_factory_) {
@@ -144,9 +137,9 @@ void Server::accept_pending(std::uint64_t tick) {
                                      stats_.connections_accepted);
     }
     const int raw = transport->fd();
-    auto session = std::make_unique<Session>(std::move(transport),
-                                             registry_.acquire(), &registry_,
-                                             limits, tick, &health_);
+    auto session = std::make_unique<Session>(
+        std::move(transport), registry_.acquire(), &registry_, config_, stats_,
+        health_, tick);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = raw;
@@ -166,11 +159,6 @@ void Server::update_interest(Session& session) {
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, session.fd(), &ev) != 0) {
     fail_errno("epoll_ctl(session mod)");
   }
-}
-
-void Server::absorb_counters(Session& session) {
-  stats_.frames_served += session.take_frames_delta();
-  stats_.shutdown_rejects += session.take_shutdown_rejects_delta();
 }
 
 void Server::drop_closed(int fd) {
@@ -223,7 +211,6 @@ void Server::sweep_sessions(std::uint64_t tick) {
     if (session.state() != SessionState::kClosed && session.wants_write()) {
       session.on_writable(tick);
     }
-    absorb_counters(session);
     if (session.state() == SessionState::kClosed) {
       drop_closed(fd);
     } else {
@@ -283,7 +270,6 @@ int Server::step(int timeout_ms) {
         break;
       }
     }
-    absorb_counters(session);
     if (session.state() == SessionState::kClosed) {
       drop_closed(fd);
     } else {

@@ -113,7 +113,6 @@ class Server {
  private:
   void accept_pending(std::uint64_t tick);
   void update_interest(Session& session);
-  void absorb_counters(Session& session);
   void drop_closed(int fd);
   void refresh_health();
   /// Deadline + drain sweep over every session (not just event-active
@@ -125,9 +124,9 @@ class Server {
   icn::util::TcpListener listener_;
   icn::util::Fd epoll_;
   icn::util::Fd wakeup_;  ///< eventfd for cross-thread stop()/begin_drain().
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
-  HealthInfo stats_;   ///< Live reactor counters.
+  HealthInfo stats_;   ///< Live reactor counters; sessions add their frames.
   HealthInfo health_;  ///< Snapshot served for kHealth.
+  std::unordered_map<int, std::unique_ptr<Session>> sessions_;
   TransportFactory transport_factory_;
   std::function<std::uint64_t()> checkpoint_failures_source_;
   std::atomic<bool> stop_{false};

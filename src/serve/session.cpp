@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "serve/server.h"
+
 namespace icn::serve {
 
 void TokenBucket::advance(std::uint64_t tick) {
@@ -27,29 +29,36 @@ bool TokenBucket::try_take() {
 
 Session::Session(std::unique_ptr<Transport> transport,
                  std::shared_ptr<const ServedSnapshot> pinned,
-                 const SnapshotRegistry* registry, const Limits& limits,
-                 std::uint64_t accept_tick, const HealthInfo* health)
+                 const SnapshotRegistry* registry, const ServeConfig& config,
+                 HealthInfo& counters, const HealthInfo& health,
+                 std::uint64_t accept_tick)
     : transport_(std::move(transport)),
       pinned_(std::move(pinned)),
       registry_(registry),
-      limits_(limits),
-      bucket_(limits.rate_tokens_per_tick, limits.rate_burst),
+      config_(config),
+      counters_(counters),
       health_(health),
+      bucket_(config.rate_tokens_per_tick, config.rate_burst),
       last_activity_tick_(accept_tick),
       frame_start_tick_(accept_tick) {}
+
+bool Session::wants_read() const {
+  return state_ == SessionState::kOpen &&
+         write_buf_.size() < config_.write_high_water;
+}
 
 void Session::serve_frame(std::span<const std::uint8_t> payload,
                           std::uint64_t tick) {
   bucket_.advance(tick);
   reply_scratch_.clear();
-  ++frames_served_;  // Every frame gets exactly one reply, typed or kOk.
+  ++counters_.frames_served;  // Every frame gets one reply, typed or kOk.
   const DecodedRequest decoded = decode_request(payload);
   const Opcode op = decoded.request ? decoded.request->opcode : Opcode::kPing;
 
   if (shutting_down_) {
     // Drain semantics: queued replies still flush, but frames that arrive
     // (or were buffered) after the drain began are refused, typed.
-    ++shutdown_rejects_;
+    ++counters_.shutdown_rejects;
     append_error_reply(reply_scratch_, decoded.request_id, op,
                        Status::kShuttingDown, pinned_generation(),
                        to_string(Status::kShuttingDown));
@@ -68,15 +77,14 @@ void Session::serve_frame(std::span<const std::uint8_t> payload,
     return;
   }
 
-  // kHealth with a live counter source is the one opcode the session
-  // answers itself: the counters are reactor state, not snapshot state, so
-  // the pure dispatch path (which serves a zeroed HealthInfo) cannot know
-  // them. Malformed kHealth bodies still fall through to dispatch for the
-  // typed kBadBody reply.
-  if (health_ != nullptr && decoded.request && op == Opcode::kHealth &&
+  // kHealth is the one opcode the session answers itself: the counters are
+  // reactor state, not snapshot state, so the pure dispatch path (which
+  // serves a zeroed HealthInfo) cannot know them. Malformed kHealth bodies
+  // still fall through to dispatch for the typed kBadBody reply.
+  if (decoded.request && op == Opcode::kHealth &&
       decoded.request->body.empty()) {
     body_scratch_.clear();
-    append_health_body(body_scratch_, *health_);
+    append_health_body(body_scratch_, health_);
     append_reply(reply_scratch_, decoded.request_id, Opcode::kHealth,
                  Status::kOk, pinned_generation(), body_scratch_);
     write_buf_.append(reply_scratch_);
@@ -90,7 +98,7 @@ void Session::serve_frame(std::span<const std::uint8_t> payload,
     pinned_ = registry_->acquire();
   }
 
-  dispatch_request(pinned_.get(), payload, reply_scratch_, limits_.max_frame);
+  dispatch_request(pinned_.get(), payload, reply_scratch_, config_.max_frame);
   write_buf_.append(reply_scratch_);
 }
 
@@ -123,7 +131,7 @@ bool Session::serve_buffered(std::uint64_t tick) {
   bool served = false;
   while (wants_read()) {
     const FrameResult frame =
-        try_parse_frame(read_buf_.data(), limits_.max_frame);
+        try_parse_frame(read_buf_.data(), config_.max_frame);
     if (frame.kind == FrameResult::Kind::kNeedMore) break;
     if (frame.kind == FrameResult::Kind::kOversized) {
       // Typed reject, then drain-and-close: the stream position after an
@@ -135,7 +143,7 @@ bool Session::serve_buffered(std::uint64_t tick) {
           pinned_generation(),
           "frame of " + std::to_string(frame.declared_len) +
               " bytes exceeds the server max of " +
-              std::to_string(limits_.max_frame));
+              std::to_string(config_.max_frame));
       write_buf_.append(reply_scratch_);
       state_ = SessionState::kDraining;
       close_reason_ = CloseReason::kOversized;
@@ -171,24 +179,24 @@ void Session::on_writable(std::uint64_t tick) {
 TickEvent Session::on_tick(std::uint64_t tick) {
   if (state_ != SessionState::kOpen || shutting_down_) return TickEvent::kNone;
 
-  if (limits_.request_deadline_ticks > 0 && !read_buf_.empty()) {
+  if (config_.request_deadline_ticks > 0 && !read_buf_.empty()) {
     // Slow-loris check: the head of the read queue has been an incomplete
     // frame for too long. Complete frames parked behind write backpressure
     // are the server's debt, not the client's, so wants_read() gates it.
     const FrameResult head =
-        try_parse_frame(read_buf_.data(), limits_.max_frame);
+        try_parse_frame(read_buf_.data(), config_.max_frame);
     if (head.kind == FrameResult::Kind::kNeedMore && wants_read() &&
         tick >= frame_start_tick_ &&
-        tick - frame_start_tick_ >= limits_.request_deadline_ticks) {
+        tick - frame_start_tick_ >= config_.request_deadline_ticks) {
       evict(CloseReason::kRequestDeadline, tick,
             "request deadline exceeded (incomplete frame)");
       return TickEvent::kEvictedDeadline;
     }
   }
 
-  if (limits_.idle_deadline_ticks > 0 && read_buf_.empty() &&
+  if (config_.idle_deadline_ticks > 0 && read_buf_.empty() &&
       write_buf_.empty() && tick >= last_activity_tick_ &&
-      tick - last_activity_tick_ >= limits_.idle_deadline_ticks) {
+      tick - last_activity_tick_ >= config_.idle_deadline_ticks) {
     evict(CloseReason::kIdleDeadline, tick, "idle deadline exceeded");
     return TickEvent::kEvictedIdle;
   }
@@ -222,7 +230,7 @@ bool Session::drain_idle() const {
   if (!shutting_down_ || state_ != SessionState::kOpen) return false;
   if (!write_buf_.empty()) return false;
   const FrameResult head =
-      try_parse_frame(read_buf_.data(), limits_.max_frame);
+      try_parse_frame(read_buf_.data(), config_.max_frame);
   return head.kind == FrameResult::Kind::kNeedMore;
 }
 
@@ -232,18 +240,6 @@ void Session::force_close() {
     close_reason_ = CloseReason::kShutdown;
   }
   close_now();
-}
-
-std::uint64_t Session::take_frames_delta() {
-  const std::uint64_t delta = frames_served_ - frames_taken_;
-  frames_taken_ = frames_served_;
-  return delta;
-}
-
-std::uint64_t Session::take_shutdown_rejects_delta() {
-  const std::uint64_t delta = shutdown_rejects_ - shutdown_rejects_taken_;
-  shutdown_rejects_taken_ = shutdown_rejects_;
-  return delta;
 }
 
 void Session::close_now() {

@@ -39,6 +39,8 @@
 
 namespace icn::serve {
 
+struct ServeConfig;
+
 /// Token-bucket rate limiter on the reactor's virtual tick clock (one tick
 /// per poll round, never wall time, so single-threaded replays are exactly
 /// reproducible). tokens_per_tick == 0 disables limiting.
@@ -95,23 +97,16 @@ enum class TickEvent : std::uint8_t {
 
 class Session {
  public:
-  /// Limits inherited from the server config (see ServeConfig).
-  struct Limits {
-    std::size_t max_frame = kDefaultMaxFrame;
-    std::size_t write_high_water = 4u << 20;
-    std::uint32_t rate_tokens_per_tick = 0;  ///< 0 = unlimited.
-    std::uint32_t rate_burst = 0;
-    std::uint64_t idle_deadline_ticks = 0;     ///< 0 = no idle eviction.
-    std::uint64_t request_deadline_ticks = 0;  ///< 0 = no loris eviction.
-  };
-
-  /// `transport` carries the connection; `accept_tick` starts the idle
-  /// clock; `health` (optional, must outlive the session) is the live
-  /// counter block served for kHealth requests.
+  /// `transport` carries the connection and `accept_tick` starts the idle
+  /// clock. The rest belongs to the server and must outlive the session:
+  /// `config` holds the limits, `counters` the live totals this session
+  /// adds its frames and shutdown rejects to, and `health` the block it
+  /// serves for kHealth requests.
   Session(std::unique_ptr<Transport> transport,
           std::shared_ptr<const ServedSnapshot> pinned,
-          const SnapshotRegistry* registry, const Limits& limits,
-          std::uint64_t accept_tick = 0, const HealthInfo* health = nullptr);
+          const SnapshotRegistry* registry, const ServeConfig& config,
+          HealthInfo& counters, const HealthInfo& health,
+          std::uint64_t accept_tick);
 
   [[nodiscard]] int fd() const { return transport_->fd(); }
   [[nodiscard]] SessionState state() const { return state_; }
@@ -121,10 +116,7 @@ class Session {
   [[nodiscard]] bool wants_write() const { return !write_buf_.empty(); }
   /// False while backpressure (write high-water) or draining suppresses
   /// request intake.
-  [[nodiscard]] bool wants_read() const {
-    return state_ == SessionState::kOpen &&
-           write_buf_.size() < limits_.write_high_water;
-  }
+  [[nodiscard]] bool wants_read() const;
 
   /// Drains the transport into the read queue and serves every complete
   /// frame. `tick` is the reactor's virtual clock.
@@ -167,18 +159,6 @@ class Session {
     return pinned_ ? pinned_->generation() : 0;
   }
 
-  /// Frames answered over the session's lifetime (including typed errors).
-  [[nodiscard]] std::uint64_t frames_served() const { return frames_served_; }
-  /// Frames refused with kShuttingDown over the session's lifetime.
-  [[nodiscard]] std::uint64_t shutdown_rejects() const {
-    return shutdown_rejects_;
-  }
-
-  /// Counter deltas since the last take_* call, for the reactor's running
-  /// totals (sessions die; the server absorbs before dropping them).
-  std::uint64_t take_frames_delta();
-  std::uint64_t take_shutdown_rejects_delta();
-
   /// Serves one already-extracted frame payload (shared with the
   /// deterministic single-threaded mode; exposed for tests).
   void serve_frame(std::span<const std::uint8_t> payload, std::uint64_t tick);
@@ -191,9 +171,10 @@ class Session {
   std::unique_ptr<Transport> transport_;
   std::shared_ptr<const ServedSnapshot> pinned_;
   const SnapshotRegistry* registry_;  ///< For kRepin; may be null in tests.
-  Limits limits_;
+  const ServeConfig& config_;
+  HealthInfo& counters_;
+  const HealthInfo& health_;
   TokenBucket bucket_;
-  const HealthInfo* health_;  ///< Live kHealth source; null = zeroed reply.
   icn::util::ByteQueue read_buf_;
   icn::util::ByteQueue write_buf_;
   std::vector<std::uint8_t> reply_scratch_;
@@ -201,10 +182,6 @@ class Session {
   SessionState state_ = SessionState::kOpen;
   CloseReason close_reason_ = CloseReason::kNone;
   bool shutting_down_ = false;
-  std::uint64_t frames_served_ = 0;
-  std::uint64_t frames_taken_ = 0;
-  std::uint64_t shutdown_rejects_ = 0;
-  std::uint64_t shutdown_rejects_taken_ = 0;
   std::uint64_t last_activity_tick_ = 0;  ///< Last tick that moved bytes in.
   std::uint64_t frame_start_tick_ = 0;    ///< When the pending frame began.
 };

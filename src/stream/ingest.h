@@ -63,8 +63,8 @@ struct IngestParams {
   /// is parked in a pending queue in memory (its data still reaches
   /// take_closed() and the totals) and flush_checkpoint() retries the
   /// durable append later, with every failed attempt counted in
-  /// checkpoint_failures(). When false (the default) checkpoint I/O errors
-  /// propagate, preserving the pre-degradation behavior bit-for-bit.
+  /// checkpoint_failures(). FeedSupervisor sets it for every feed. When
+  /// false (the default) checkpoint I/O errors propagate to the caller.
   bool defer_checkpoint_errors = false;
 };
 

@@ -40,8 +40,8 @@ struct FeedSupervisor::Runtime {
   std::size_t dups = 0;
   std::size_t corrupts = 0;
 
-  // ENOSPC degradation (defer_checkpoint_errors): retry schedule for the
-  // feed's pending checkpoint windows and seal-time failure count.
+  // ENOSPC degradation: retry schedule for the feed's pending checkpoint
+  // windows and seal-time failure count.
   std::size_t ckpt_attempts = 0;
   std::int64_t ckpt_retry_at = -1;  ///< -1 = no retry scheduled.
   std::size_t seal_failures = 0;
@@ -113,7 +113,7 @@ FeedSupervisor::FeedSupervisor(SupervisorParams params,
     ingest.num_hours = params_.num_hours;
     ingest.num_shards = params_.num_shards;
     ingest.allowed_lateness = params_.allowed_lateness;
-    ingest.defer_checkpoint_errors = params_.defer_checkpoint_errors;
+    ingest.defer_checkpoint_errors = true;
     std::int64_t first_open_hour = 0;
     if (!rt->spec.checkpoint_path.empty()) {
       bool fresh_start = mode != Mode::kResume;
@@ -397,8 +397,13 @@ void FeedSupervisor::seal(std::size_t feed) {
   auto closed = f.ingestor->take_closed();
   f.windows.insert(f.windows.end(), std::make_move_iterator(closed.begin()),
                    std::make_move_iterator(closed.end()));
-  if (f.writer) {
-    const auto append_seal_sections_and_sync = [&] {
+  if (!f.writer) return;
+  // A disk that still refuses writes must not abort the finished study. An
+  // unflushable checkpoint is left crash-equivalent (valid prefix, no seal
+  // sections) — resume() replays it like any kill — and every shortfall
+  // lands in checkpoint_failures.
+  try {
+    if (f.ingestor->flush_checkpoint()) {
       const bool complete =
           std::all_of(f.covered.begin(), f.covered.end(),
                       [](std::uint8_t b) { return b != 0; });
@@ -420,30 +425,16 @@ void FeedSupervisor::seal(std::size_t feed) {
                                     f.repaired_by_hour);
       }
       f.writer->sync();
-    };
-    if (params_.defer_checkpoint_errors) {
-      // Degraded seal: a disk that still refuses writes must not abort the
-      // finished study. An unflushable checkpoint is left crash-equivalent
-      // (valid prefix, no seal sections) — resume() replays it like any
-      // kill — and every shortfall lands in checkpoint_failures.
-      try {
-        if (f.ingestor->flush_checkpoint()) {
-          append_seal_sections_and_sync();
-        } else {
-          ++f.seal_failures;
-        }
-      } catch (const icn::util::IoError&) {
-        ++f.seal_failures;
-      }
-      try {
-        f.writer->close();
-      } catch (const icn::util::IoError&) {
-        ++f.seal_failures;
-      }
     } else {
-      append_seal_sections_and_sync();
-      f.writer->close();
+      ++f.seal_failures;
     }
+  } catch (const icn::util::IoError&) {
+    ++f.seal_failures;
+  }
+  try {
+    f.writer->close();
+  } catch (const icn::util::IoError&) {
+    ++f.seal_failures;
   }
 }
 

@@ -26,6 +26,13 @@
 //    kCoverage section to its checkpoint; a fully-covered feed writes
 //    nothing extra, keeping the checkpoint bit-identical to a plain
 //    single-feed StreamIngestor run.
+//  * Checkpoint degradation (the ENOSPC model): a failed checkpoint append
+//    parks the window in memory and is retried on the capped backoff
+//    schedule (kCheckpointRetry events), so the study always completes and
+//    the shortfall is counted in FeedStats::checkpoint_failures. On a healthy
+//    disk the appends and syncs are exactly those of a plain ingestor. A seal
+//    that still cannot flush leaves the checkpoint crash-equivalent (a valid
+//    prefix missing its tail), which resume() replays as after a kill.
 //
 // merge() (live) and merge_snapshots() (durable, after recover_snapshot)
 // combine the per-probe results into one study tensor whose rows concatenate
@@ -84,16 +91,6 @@ struct SupervisorParams {
   /// this Vfs — the disk-fault seam of the chaos suite. nullptr (the
   /// default) is store::posix_vfs(), bit-identical to direct syscalls.
   store::Vfs* vfs = nullptr;
-  /// Opt-in graceful degradation on checkpoint I/O errors (the ENOSPC
-  /// model): a failed checkpoint append parks the window in memory and the
-  /// supervisor retries with its capped backoff schedule
-  /// (kCheckpointRetry events); the study always completes, with failures
-  /// surfaced in FeedStats::checkpoint_failures. A seal that still cannot
-  /// flush leaves the checkpoint file crash-equivalent (a valid prefix
-  /// missing its tail) — resume() replays exactly as after a kill. When
-  /// false (the default) checkpoint IoErrors propagate and abort the study,
-  /// the pre-degradation behavior.
-  bool defer_checkpoint_errors = false;
 };
 
 /// One probe feed under supervision.
@@ -138,10 +135,10 @@ struct FeedStats {
   std::size_t records_repaired = 0;  ///< From the feed's validator.
   std::size_t records_rejected = 0;  ///< From the feed's validator.
   std::int64_t covered_hours = 0;
-  /// Failed checkpoint append/sync attempts (defer_checkpoint_errors mode;
-  /// 0 on a healthy disk). Surfaced study-wide through serve's kHealth.
+  /// Failed checkpoint append/sync/close attempts (0 on a healthy disk).
+  /// Surfaced study-wide through serve's kHealth.
   std::size_t checkpoint_failures = 0;
-  /// Windows closed but not durable in the checkpoint (degraded mode).
+  /// Windows closed but not yet durable in the checkpoint.
   std::size_t checkpoint_pending = 0;
 };
 

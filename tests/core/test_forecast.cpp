@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "util/error.h"
 #include "util/rng.h"
@@ -71,66 +70,6 @@ TEST(SeasonalForecasterTest, Validation) {
   EXPECT_THROW((void)f.slot_value(10), icn::util::PreconditionError);
 }
 
-TEST(HoltWintersTest, RecoversTrendPlusSeasonality) {
-  // x_t = 0.05 t + pattern(t % 24): Holt-Winters should track both parts.
-  std::vector<double> series;
-  for (std::size_t t = 0; t < 24 * 8; ++t) {
-    series.push_back(0.05 * static_cast<double>(t) +
-                     3.0 * std::sin(static_cast<double>(t % 24) / 24.0 *
-                                    2.0 * M_PI));
-  }
-  HoltWintersForecaster f;
-  f.fit(series, 24);
-  const auto pred = f.forecast(24);
-  for (std::size_t h = 0; h < 24; ++h) {
-    const double t = static_cast<double>(series.size() + h);
-    const double expected =
-        0.05 * t + 3.0 * std::sin(static_cast<double>(
-                             (series.size() + h) % 24) /
-                         24.0 * 2.0 * M_PI);
-    EXPECT_NEAR(pred[h], expected, 0.8) << "h=" << h;
-  }
-}
-
-TEST(HoltWintersTest, BeatsSeasonalMedianOnTrendingSeries) {
-  // Steady growth: the seasonal median under-forecasts, Holt-Winters tracks.
-  std::vector<double> series;
-  for (std::size_t t = 0; t < 24 * 10; ++t) {
-    series.push_back(10.0 + 0.1 * static_cast<double>(t) +
-                     2.0 * std::sin(static_cast<double>(t % 24) / 24.0 *
-                                    2.0 * M_PI));
-  }
-  const std::size_t train = 24 * 8;
-  const std::span<const double> train_span(series.data(), train);
-  const std::span<const double> test(series.data() + train, 48);
-  HoltWintersForecaster hw;
-  hw.fit(train_span, 24);
-  SeasonalForecaster sm;
-  sm.fit(train_span, 24);
-  EXPECT_LT(smape(test, hw.forecast(48)),
-            smape(test, sm.forecast(48)) * 0.5);
-}
-
-TEST(HoltWintersTest, ConstantSeriesStaysConstant) {
-  std::vector<double> series(24 * 4, 7.5);
-  HoltWintersForecaster f;
-  f.fit(series, 24);
-  for (const double v : f.forecast(48)) {
-    EXPECT_NEAR(v, 7.5, 1e-9);
-  }
-}
-
-TEST(HoltWintersTest, Validation) {
-  HoltWintersForecaster f;
-  EXPECT_THROW(f.forecast(5), icn::util::PreconditionError);
-  std::vector<double> one_season(24, 1.0);
-  EXPECT_THROW(f.fit(one_season, 24), icn::util::PreconditionError);
-  std::vector<double> ok(48, 1.0);
-  HoltWintersForecaster::Params bad;
-  bad.alpha = 1.5;
-  EXPECT_THROW(f.fit(ok, 24, bad), icn::util::PreconditionError);
-}
-
 TEST(SmapeTest, PerfectForecastIsZero) {
   const std::vector<double> a = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(smape(a, a), 0.0);
@@ -181,117 +120,6 @@ TEST(SeasonalForecasterTest, NoisyPeriodicSignalForecastBeatsMean) {
   for (std::size_t t = 0; t < train; ++t) mean += series[t] / train;
   const std::vector<double> flat(168, mean);
   EXPECT_LT(smape(test, pred), smape(test, flat) * 0.6);
-}
-
-TEST(SeasonalForecasterTest, MaskedFitIgnoresDropoutZeros) {
-  // A periodic signal with dropout windows recorded as zeros: the plain fit
-  // is dragged down, the masked fit recovers the clean profile exactly.
-  const std::size_t season = 24;
-  std::vector<double> series;
-  std::vector<std::uint8_t> covered;
-  for (std::size_t t = 0; t < season * 5; ++t) {
-    const double value = 10.0 + static_cast<double>(t % season);
-    // Seasons 1-3 lose hours [4, 9) to a probe dropout, so the plain
-    // per-slot median over {v, 0, 0, 0, v} collapses to zero there.
-    const bool lost = t / season >= 1 && t / season <= 3 &&
-                      t % season >= 4 && t % season < 9;
-    series.push_back(lost ? 0.0 : value);
-    covered.push_back(lost ? 0 : 1);
-  }
-  SeasonalForecaster masked;
-  masked.fit_masked(series, covered, season);
-  for (std::size_t slot = 0; slot < season; ++slot) {
-    EXPECT_EQ(masked.slot_value(slot), 10.0 + static_cast<double>(slot))
-        << "slot " << slot;
-  }
-  SeasonalForecaster plain;
-  plain.fit(series, season);
-  EXPECT_LT(plain.slot_value(5), masked.slot_value(5));
-}
-
-TEST(SeasonalForecasterTest, MaskedFitFallsBackWhenSlotNeverCovered) {
-  const std::size_t season = 8;
-  std::vector<double> series(season * 3, 4.0);
-  std::vector<std::uint8_t> covered(series.size(), 1);
-  // Slot 2 never observed.
-  for (std::size_t t = 2; t < series.size(); t += season) {
-    series[t] = 999.0;
-    covered[t] = 0;
-  }
-  SeasonalForecaster f;
-  f.fit_masked(series, covered, season);
-  // Fallback = median over all covered samples = 4.0, not the garbage value.
-  EXPECT_EQ(f.slot_value(2), 4.0);
-}
-
-TEST(SeasonalForecasterTest, MaskedFitNeverReadsUncoveredGarbage) {
-  // Uncovered samples hold NaN (what a fuzzed, unrepaired volume looks
-  // like): the masked fit must never read them, or the slot medians and the
-  // global fallback would both be poisoned.
-  const std::size_t season = 6;
-  std::vector<double> series(season * 4);
-  std::vector<std::uint8_t> covered(series.size(), 1);
-  for (std::size_t t = 0; t < series.size(); ++t) {
-    series[t] = 5.0 + static_cast<double>(t % season);
-  }
-  // Every third hour lost; with season 6 that blanks slots 0 and 3 entirely.
-  for (std::size_t t = 0; t < series.size(); t += 3) {
-    series[t] = std::numeric_limits<double>::quiet_NaN();
-    covered[t] = 0;
-  }
-  SeasonalForecaster f;
-  f.fit_masked(series, covered, season);
-  // Covered slots keep their exact profile values...
-  EXPECT_EQ(f.slot_value(1), 6.0);
-  EXPECT_EQ(f.slot_value(2), 7.0);
-  EXPECT_EQ(f.slot_value(4), 9.0);
-  EXPECT_EQ(f.slot_value(5), 10.0);
-  // ...and the never-covered slots get the global median of the covered
-  // samples (median of 6,7,9,10 repeated = 8), not NaN.
-  EXPECT_EQ(f.slot_value(0), 8.0);
-  EXPECT_EQ(f.slot_value(3), 8.0);
-}
-
-TEST(SeasonalForecasterTest, MaskedFitSingleCoveredSampleFillsEverySlot) {
-  const std::size_t season = 4;
-  std::vector<double> series(season * 2, -1.0e9);
-  std::vector<std::uint8_t> covered(series.size(), 0);
-  series[5] = 42.0;
-  covered[5] = 1;
-  SeasonalForecaster f;
-  f.fit_masked(series, covered, season);
-  for (std::size_t slot = 0; slot < season; ++slot) {
-    EXPECT_EQ(f.slot_value(slot), 42.0) << "slot " << slot;
-  }
-}
-
-TEST(SeasonalForecasterTest, MaskedFitMatchesPlainFitOnFullCoverage) {
-  const std::size_t season = 24;
-  std::vector<double> series;
-  icn::util::Rng rng(404);
-  for (std::size_t t = 0; t < season * 7; ++t) {
-    series.push_back(rng.uniform(0.0, 100.0));
-  }
-  const std::vector<std::uint8_t> covered(series.size(), 1);
-  SeasonalForecaster plain;
-  plain.fit(series, season);
-  SeasonalForecaster masked;
-  masked.fit_masked(series, covered, season);
-  for (std::size_t slot = 0; slot < season; ++slot) {
-    EXPECT_EQ(masked.slot_value(slot), plain.slot_value(slot))
-        << "slot " << slot;
-  }
-}
-
-TEST(SeasonalForecasterTest, MaskedFitValidation) {
-  SeasonalForecaster f;
-  const std::vector<double> series(48, 1.0);
-  std::vector<std::uint8_t> covered(47, 1);
-  EXPECT_THROW(f.fit_masked(series, covered, 24),
-               icn::util::PreconditionError);
-  covered.assign(48, 0);
-  EXPECT_THROW(f.fit_masked(series, covered, 24),
-               icn::util::PreconditionError);
 }
 
 }  // namespace

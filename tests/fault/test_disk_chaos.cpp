@@ -477,7 +477,6 @@ TEST(DiskChaosTest, SupervisorDegradesGracefullyUnderEnospc) {
   stream::VectorFeed feed{script};
   auto sup_params = supervisor_params();
   sup_params.vfs = &vfs;
-  sup_params.defer_checkpoint_errors = true;
   stream::FeedSupervisor supervisor(
       sup_params, {{"probe", ids, &feed, degraded.path()}});
   supervisor.run();

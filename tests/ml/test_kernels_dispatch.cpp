@@ -44,14 +44,6 @@ void run_rsca_row(SimdLevel level, const double* t, const double* s,
   detail::rsca_row_scalar(t, s, total, n, out);
 }
 
-void run_rsca_map(SimdLevel level, const double* v, std::size_t n,
-                  double* out) {
-  if (level == SimdLevel::kAvx2) {
-    return detail::rsca_map_avx2(v, n, out);
-  }
-  detail::rsca_map_scalar(v, n, out);
-}
-
 void run_labeled_sums(SimdLevel level, const double* d, const int* labels,
                       std::size_t n, std::size_t k, double* sums) {
   if (level == SimdLevel::kAvx2) {
@@ -102,27 +94,6 @@ TEST(KernelsDispatchTest, RscaRowAllLanesBitExactOverEveryShortLength) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(bits(ref[i]), bits(got[i]))
             << "rsca_row level " << icn::util::simd_level_name(level)
-            << " n " << n << " i " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelsDispatchTest, RscaMapAllLanesBitExactOverEveryShortLength) {
-  icn::util::Rng rng(813);
-  const auto levels = runnable_levels();
-  for (std::size_t n = 0; n <= 67; ++n) {
-    std::vector<double> v(n), ref(n), got(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      v[i] = (i % 6 == 0) ? 0.0 : std::abs(rng.normal()) * 10.0;
-      if (i % 13 == 0) v[i] = kInf;  // Inf/Inf: the same default NaN per lane
-    }
-    detail::rsca_map_scalar(v.data(), n, ref.data());
-    for (const SimdLevel level : levels) {
-      run_rsca_map(level, v.data(), n, got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(bits(ref[i]), bits(got[i]))
-            << "rsca_map level " << icn::util::simd_level_name(level)
             << " n " << n << " i " << i;
       }
     }

@@ -16,12 +16,17 @@
 //
 // Connects to 127.0.0.1:<port>, issues exactly one query, prints the reply
 // in a human-readable form, and exits 0 on a kOk reply, 1 on a typed error
-// reply, 2 on usage/transport problems. --retries enables the resilient
-// client path (reconnect + capped jittered backoff) for the idempotent
-// queries; --timeout-ms bounds both connect and each read.
+// reply, 2 on usage/transport problems. --retries (total attempts, 1-100)
+// enables the resilient client path (reconnect + capped jittered backoff)
+// for the idempotent queries; --timeout-ms bounds both connect and each
+// read (0 = wait forever).
+//
+// Every number is decimal digits only and range-checked; `all` is accepted
+// only as the slice service. A malformed argument exits 2 with a message
+// naming it, before any connection is made.
 
-#include <algorithm>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,7 +43,7 @@ using icn::serve::Status;
 
 void usage() {
   std::fprintf(stderr,
-               "usage: icn_query [--retries <n>] [--timeout-ms <ms>] "
+               "usage: icn_query [--retries <1-100>] [--timeout-ms <ms>] "
                "<port> <command> [args...]\n"
                "  ping\n"
                "  info\n"
@@ -51,9 +56,32 @@ void usage() {
                "  repin\n");
 }
 
-std::uint32_t parse_u32(const char* s) {
-  if (std::strcmp(s, "all") == 0) return icn::serve::kAllServices;
-  return static_cast<std::uint32_t>(std::strtoul(s, nullptr, 10));
+/// Parses `s` as decimal digits with a value in [min, max]. Anything else
+/// exits 2 with a message naming `what` and the argument; main parses every
+/// argument before it connects.
+std::uint64_t parse_number(const char* what, const char* s, std::uint64_t min,
+                           std::uint64_t max) {
+  // At most 19 digits, so strtoull cannot overflow.
+  const std::size_t len = std::strlen(s);
+  const bool digits =
+      len > 0 && len <= 19 && std::strspn(s, "0123456789") == len;
+  const std::uint64_t value = digits ? std::strtoull(s, nullptr, 10) : 0;
+  if (!digits || value < min || value > max) {
+    std::fprintf(stderr,
+                 "icn_query: invalid %s \"%s\" (expected an integer in [%" PRIu64
+                 ", %" PRIu64 "])\n",
+                 what, s, min, max);
+    std::exit(2);
+  }
+  return value;
+}
+
+std::uint32_t parse_u32(const char* what, const char* s) {
+  return static_cast<std::uint32_t>(parse_number(what, s, 0, UINT32_MAX));
+}
+
+std::int64_t parse_hour(const char* what, const char* s) {
+  return static_cast<std::int64_t>(parse_number(what, s, 0, INT64_MAX));
 }
 
 /// Little-endian reads out of the reply body.
@@ -247,15 +275,19 @@ int main(int argc, char** argv) {
   while (arg < argc && argv[arg][0] == '-') {
     const std::string flag = argv[arg];
     if (flag == "--retries" && arg + 1 < argc) {
-      options.max_attempts =
-          std::max(1u, parse_u32(argv[arg + 1]));
+      options.max_attempts = static_cast<std::uint32_t>(
+          parse_number("--retries", argv[arg + 1], 1, 100));
       arg += 2;
     } else if (flag == "--timeout-ms" && arg + 1 < argc) {
-      const int ms = static_cast<int>(std::strtol(argv[arg + 1], nullptr, 10));
+      const int ms = static_cast<int>(
+          parse_number("--timeout-ms", argv[arg + 1], 0, INT_MAX));
       options.connect_timeout_ms = ms;
       options.read_timeout_ms = ms;
       arg += 2;
     } else {
+      std::fprintf(stderr,
+                   "icn_query: unknown option or missing value \"%s\"\n",
+                   argv[arg]);
       usage();
       return 2;
     }
@@ -266,7 +298,8 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const auto port = static_cast<std::uint16_t>(std::strtoul(argv[1], nullptr, 10));
+  const auto port =
+      static_cast<std::uint16_t>(parse_number("port", argv[1], 1, 65535));
   const std::string command = argv[2];
 
   Opcode opcode{};
@@ -277,23 +310,27 @@ int main(int argc, char** argv) {
     opcode = Opcode::kInfo;
   } else if (command == "slice" && (argc == 5 || argc == 7)) {
     opcode = Opcode::kSlice;
-    const std::int64_t first =
-        argc == 7 ? std::strtoll(argv[5], nullptr, 10) : icn::serve::kTotalsHours;
-    const std::int64_t last =
-        argc == 7 ? std::strtoll(argv[6], nullptr, 10) : icn::serve::kTotalsHours;
-    request_body = icn::serve::make_slice_body(parse_u32(argv[3]),
-                                               parse_u32(argv[4]), first, last);
+    const std::uint32_t row = parse_u32("row", argv[3]);
+    const std::uint32_t service = std::strcmp(argv[4], "all") == 0
+                                      ? icn::serve::kAllServices
+                                      : parse_u32("service", argv[4]);
+    const std::int64_t first = argc == 7 ? parse_hour("hour_first", argv[5])
+                                         : icn::serve::kTotalsHours;
+    const std::int64_t last = argc == 7 ? parse_hour("hour_last", argv[6])
+                                        : icn::serve::kTotalsHours;
+    request_body = icn::serve::make_slice_body(row, service, first, last);
   } else if (command == "cluster" && argc == 4) {
     opcode = Opcode::kCluster;
-    request_body = icn::serve::make_cluster_body(parse_u32(argv[3]));
+    request_body = icn::serve::make_cluster_body(parse_u32("row", argv[3]));
   } else if (command == "shap" && (argc == 4 || argc == 5)) {
     opcode = Opcode::kShap;
     request_body = icn::serve::make_shap_body(
-        parse_u32(argv[3]), argc == 5 ? parse_u32(argv[4]) : 0);
+        parse_u32("cluster", argv[3]),
+        argc == 5 ? parse_u32("max_services", argv[4]) : 0);
   } else if (command == "coverage" && (argc == 3 || argc == 4)) {
     opcode = Opcode::kCoverage;
     request_body = icn::serve::make_coverage_body(
-        argc == 4 ? parse_u32(argv[3]) : icn::serve::kAllRows);
+        argc == 4 ? parse_u32("row", argv[3]) : icn::serve::kAllRows);
   } else if (command == "quarantine") {
     opcode = Opcode::kQuarantine;
   } else if (command == "health") {
