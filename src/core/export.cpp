@@ -1,6 +1,5 @@
 #include "core/export.h"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -15,22 +14,6 @@ std::string fmt(double v) {
   ss.precision(10);
   ss << v;
   return ss.str();
-}
-
-net::Environment environment_from_name(const std::string& name) {
-  for (const net::Environment e : net::all_environments()) {
-    if (name == net::environment_name(e)) return e;
-  }
-  ICN_REQUIRE(false, "unknown environment name: " + name);
-  return net::Environment::kMetro;  // unreachable
-}
-
-net::City city_from_name(const std::string& name) {
-  for (const net::City c : net::all_cities()) {
-    if (name == net::city_name(c)) return c;
-  }
-  ICN_REQUIRE(false, "unknown city name: " + name);
-  return net::City::kOther;  // unreachable
 }
 
 }  // namespace
@@ -65,45 +48,6 @@ void export_rsca_csv(std::ostream& out, const Scenario& scenario,
     }
     writer.write_row(row);
   }
-}
-
-ImportedDataset import_rsca_csv(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const auto rows = icn::util::parse_csv(buffer.str());
-  ICN_REQUIRE(rows.size() >= 2, "dataset needs a header and data rows");
-  const auto& header = rows.front();
-  constexpr std::size_t kMeta = 8;
-  ICN_REQUIRE(header.size() > kMeta, "dataset header too narrow");
-  ICN_REQUIRE(header[0] == "antenna_id" && header[5] == "cluster",
-              "unrecognized dataset header");
-
-  ImportedDataset data;
-  const std::size_t m = header.size() - kMeta;
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::string& column = header[kMeta + j];
-    ICN_REQUIRE(column.rfind("rsca:", 0) == 0,
-                "feature column without rsca: prefix");
-    data.service_names.push_back(column.substr(5));
-  }
-  const std::size_t n = rows.size() - 1;
-  data.rsca = ml::Matrix(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& row = rows[i + 1];
-    ICN_REQUIRE(row.size() == header.size(), "ragged dataset row");
-    data.antenna_ids.push_back(
-        static_cast<std::uint32_t>(std::stoul(row[0])));
-    data.names.push_back(row[1]);
-    data.environments.push_back(environment_from_name(row[2]));
-    data.cities.push_back(city_from_name(row[3]));
-    data.clusters.push_back(std::stoi(row[5]));
-    data.archetypes.push_back(std::stoi(row[6]));
-    data.total_mb.push_back(std::stod(row[7]));
-    for (std::size_t j = 0; j < m; ++j) {
-      data.rsca(i, j) = std::stod(row[kMeta + j]);
-    }
-  }
-  return data;
 }
 
 void export_traffic_csv(std::ostream& out, const Scenario& scenario) {

@@ -22,22 +22,4 @@ void export_rsca_csv(std::ostream& out, const Scenario& scenario,
 /// service.
 void export_traffic_csv(std::ostream& out, const Scenario& scenario);
 
-/// A dataset read back from an export_rsca_csv file — what a downstream
-/// user of the published data would load.
-struct ImportedDataset {
-  std::vector<std::uint32_t> antenna_ids;
-  std::vector<std::string> names;
-  std::vector<net::Environment> environments;
-  std::vector<net::City> cities;
-  std::vector<int> clusters;
-  std::vector<int> archetypes;
-  std::vector<double> total_mb;
-  ml::Matrix rsca;                      ///< N x M feature matrix.
-  std::vector<std::string> service_names;  ///< Column names (without prefix).
-};
-
-/// Parses a CSV produced by export_rsca_csv. Throws PreconditionError on a
-/// malformed header, unknown environment/city name, or ragged rows.
-[[nodiscard]] ImportedDataset import_rsca_csv(std::istream& in);
-
 }  // namespace icn::core

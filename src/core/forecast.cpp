@@ -45,12 +45,6 @@ std::vector<SeasonalForecaster> fit_seasonal_batch(
   return out;
 }
 
-double SeasonalForecaster::slot_value(std::size_t slot) const {
-  ICN_REQUIRE(is_fitted(), "forecaster not fitted");
-  ICN_REQUIRE(slot < slot_median_.size(), "slot index");
-  return slot_median_[slot];
-}
-
 std::vector<double> SeasonalForecaster::forecast(std::size_t horizon) const {
   ICN_REQUIRE(is_fitted(), "forecaster not fitted");
   std::vector<double> out(horizon);

@@ -27,9 +27,6 @@ class SeasonalForecaster {
 
   [[nodiscard]] bool is_fitted() const { return !slot_median_.empty(); }
 
-  /// Seasonal median of slot s in [0, season_hours).
-  [[nodiscard]] double slot_value(std::size_t slot) const;
-
   /// Predicts the `horizon` hours following the training series.
   [[nodiscard]] std::vector<double> forecast(std::size_t horizon) const;
 

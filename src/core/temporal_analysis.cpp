@@ -11,6 +11,9 @@ namespace {
 
 using icn::util::DateRange;
 
+/// Seed of the per-cluster antenna subsample.
+constexpr std::uint64_t kSampleSeed = 11;
+
 /// Indices of antennas in the cluster, deterministically subsampled.
 std::vector<std::size_t> cluster_members(std::span<const int> labels,
                                          int cluster,
@@ -21,9 +24,8 @@ std::vector<std::size_t> cluster_members(std::span<const int> labels,
   }
   ICN_REQUIRE(!members.empty(), "empty cluster in heatmap");
   if (params.max_antennas != 0 && members.size() > params.max_antennas) {
-    icn::util::Rng rng(icn::util::derive_seed(params.sample_seed,
-                                              static_cast<std::uint64_t>(
-                                                  cluster)));
+    icn::util::Rng rng(icn::util::derive_seed(
+        kSampleSeed, static_cast<std::uint64_t>(cluster)));
     for (std::size_t i = 0; i < params.max_antennas; ++i) {
       const std::size_t j = i + rng.uniform_index(members.size() - i);
       std::swap(members[i], members[j]);

@@ -33,7 +33,6 @@ struct HeatmapParams {
   /// Cap on antennas sampled per cluster (they are drawn deterministically);
   /// 0 = use every antenna of the cluster.
   std::size_t max_antennas = 400;
-  std::uint64_t sample_seed = 11;
 };
 
 /// Fig. 10: normalized median heatmap of the *total* traffic of the antennas

@@ -149,8 +149,6 @@ CrashSweepReport run_crash_sweep(const CrashSweep& sweep,
   DiskFaultPlanParams crash_only;
   crash_only.seed = sweep.crash_model.seed;
   crash_only.crash_block_size = sweep.crash_model.crash_block_size;
-  crash_only.crash_drop_rate = sweep.crash_model.crash_drop_rate;
-  crash_only.crash_tear_rate = sweep.crash_model.crash_tear_rate;
   for (std::uint64_t k = 0; k < report.total_ops; ++k) {
     CrashPointOutcome outcome;
     outcome.op = k;

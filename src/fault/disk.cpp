@@ -20,6 +20,11 @@ enum : std::uint64_t {
   kTagCrashTear = 106,
 };
 
+/// Fate distribution of an unsynced block at a power cut; the remaining
+/// probability mass survives intact.
+constexpr double kCrashDropRate = 0.4;
+constexpr double kCrashTearRate = 0.3;
+
 icn::util::Rng op_rng(std::uint64_t seed, std::uint64_t file_id,
                       std::uint64_t op, std::uint64_t tag) {
   return icn::util::Rng(icn::util::derive_seed(seed, file_id, op, tag));
@@ -31,8 +36,6 @@ DiskFaultPlan::DiskFaultPlan(DiskFaultPlanParams params)
     : params_(params) {
   ICN_REQUIRE(params_.crash_block_size >= 8, "crash block size");
   ICN_REQUIRE(params_.enospc_max_run >= 1, "enospc run length");
-  ICN_REQUIRE(params_.crash_drop_rate >= 0.0 && params_.crash_tear_rate >= 0.0,
-              "crash rates");
 }
 
 std::optional<std::uint64_t> DiskFaultPlan::short_write_keep(
@@ -66,11 +69,9 @@ bool DiskFaultPlan::fsync_fails(std::uint64_t file_id,
 DiskFaultPlan::BlockFate DiskFaultPlan::crash_block_fate(
     std::uint64_t file_id, std::uint64_t block_offset) const {
   auto rng = op_rng(params_.seed, file_id, block_offset, kTagCrashFate);
-  const double drop = std::min(params_.crash_drop_rate, 1.0);
-  const double tear = std::min(params_.crash_tear_rate, 1.0 - drop);
   const double u = rng.uniform();
-  if (u < drop) return BlockFate::kDropped;
-  if (u < drop + tear) return BlockFate::kTorn;
+  if (u < kCrashDropRate) return BlockFate::kDropped;
+  if (u < kCrashDropRate + kCrashTearRate) return BlockFate::kTorn;
   return BlockFate::kSurvives;
 }
 

@@ -60,11 +60,6 @@ struct DiskFaultPlanParams {
   /// blocks of this size aligned to file offsets. Requires >= 8 so a torn
   /// block can still carry whole words.
   std::uint64_t crash_block_size = 512;
-
-  /// Fate distribution of an unsynced block at a power cut. Whatever
-  /// probability mass is left over survives intact. Clamped to sum <= 1.
-  double crash_drop_rate = 0.4;
-  double crash_tear_rate = 0.3;
 };
 
 /// Pure-function fault schedule over (file id, per-file op index). O(1)

@@ -19,7 +19,6 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y,
   trees_.clear();
   trees_.resize(params.num_trees);
   num_classes_ = num_classes;
-  num_features_ = x.cols();
 
   DecisionTree::Params tree_params;
   tree_params.max_depth = params.max_depth;
@@ -115,12 +114,6 @@ std::vector<double> RandomForest::predict_proba(
   return proba;
 }
 
-int RandomForest::predict(std::span<const double> x) const {
-  const auto proba = predict_proba(x);
-  return static_cast<int>(
-      std::max_element(proba.begin(), proba.end()) - proba.begin());
-}
-
 std::vector<int> RandomForest::predict_all(const Matrix& x) const {
   std::vector<int> out(x.rows());
   icn::util::parallel_for(
@@ -133,20 +126,6 @@ std::vector<int> RandomForest::predict_all(const Matrix& x) const {
         }
       });
   return out;
-}
-
-std::vector<double> RandomForest::feature_importance() const {
-  ICN_REQUIRE(is_fitted(), "importance on unfitted forest");
-  std::vector<double> imp(num_features_, 0.0);
-  for (const auto& tree : trees_) {
-    const auto& ti = tree.impurity_importance();
-    for (std::size_t f = 0; f < imp.size(); ++f) imp[f] += ti[f];
-  }
-  const double total = std::accumulate(imp.begin(), imp.end(), 0.0);
-  if (total > 0.0) {
-    for (auto& v : imp) v /= total;
-  }
-  return imp;
 }
 
 }  // namespace icn::ml

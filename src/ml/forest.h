@@ -44,9 +44,6 @@ class RandomForest {
   [[nodiscard]] std::vector<double> predict_proba(
       std::span<const double> x) const;
 
-  /// Arg-max class of predict_proba.
-  [[nodiscard]] int predict(std::span<const double> x) const;
-
   /// Predicts every row of x.
   [[nodiscard]] std::vector<int> predict_all(const Matrix& x) const;
 
@@ -54,14 +51,9 @@ class RandomForest {
   /// NaN when bootstrap was disabled or no row was ever out of bag).
   [[nodiscard]] double oob_accuracy() const { return oob_accuracy_; }
 
-  /// Mean-decrease-in-impurity feature importance, normalized to sum to 1
-  /// (all-zero when no split was ever made).
-  [[nodiscard]] std::vector<double> feature_importance() const;
-
  private:
   std::vector<DecisionTree> trees_;
   int num_classes_ = 0;
-  std::size_t num_features_ = 0;
   double oob_accuracy_ = 0.0;
 
   /// Writes predict_proba(x) into `proba` (size num_classes()) without

@@ -12,16 +12,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
   ICN_REQUIRE(data_.size() == rows_ * cols_, "matrix data size");
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  ICN_REQUIRE(r < rows_ && c < cols_, "matrix index");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  ICN_REQUIRE(r < rows_ && c < cols_, "matrix index");
-  return data_[r * cols_ + c];
-}
-
 std::span<const double> Matrix::row(std::size_t r) const {
   ICN_REQUIRE(r < rows_, "matrix row index");
   return {data_.data() + r * cols_, cols_};
@@ -30,13 +20,6 @@ std::span<const double> Matrix::row(std::size_t r) const {
 std::span<double> Matrix::row(std::size_t r) {
   ICN_REQUIRE(r < rows_, "matrix row index");
   return {data_.data() + r * cols_, cols_};
-}
-
-std::vector<double> Matrix::column(std::size_t c) const {
-  ICN_REQUIRE(c < cols_, "matrix column index");
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = data_[r * cols_ + c];
-  return out;
 }
 
 Matrix Matrix::select_rows(std::span<const std::size_t> idx) const {

@@ -11,8 +11,7 @@ namespace icn::ml {
 /// Dense row-major matrix of double.
 ///
 /// Rows are samples (antennas), columns are features (mobile services).
-/// Bounds are checked with ICN_REQUIRE on the at() accessors; the span
-/// accessors are the fast path used by the algorithms.
+/// Row views check their index with ICN_REQUIRE; element access does not.
 class Matrix {
  public:
   /// Empty 0x0 matrix.
@@ -28,10 +27,6 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  /// Checked element access.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
   /// Unchecked element access (hot loops).
   [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
     return data_[r * cols_ + c];
@@ -43,9 +38,6 @@ class Matrix {
   /// View of row r. Requires r < rows().
   [[nodiscard]] std::span<const double> row(std::size_t r) const;
   [[nodiscard]] std::span<double> row(std::size_t r);
-
-  /// Copy of column c. Requires c < cols().
-  [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
   /// Whole storage, row-major.
   [[nodiscard]] std::span<const double> data() const { return data_; }

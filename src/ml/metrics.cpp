@@ -116,14 +116,6 @@ double dunn_index(const CondensedDistances& dist,
   return ex.min_inter / ex.max_diam;
 }
 
-double silhouette_score(const Matrix& x, std::span<const int> labels) {
-  return silhouette_score(CondensedDistances(x), labels);
-}
-
-double dunn_index(const Matrix& x, std::span<const int> labels) {
-  return dunn_index(CondensedDistances(x), labels);
-}
-
 namespace {
 
 /// Per-cluster centroids and the validated cluster count.
@@ -211,21 +203,6 @@ double accuracy(std::span<const int> pred, std::span<const int> truth) {
     if (pred[i] == truth[i]) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(pred.size());
-}
-
-std::vector<std::vector<std::size_t>> confusion_matrix(
-    std::span<const int> truth, std::span<const int> pred, int k) {
-  ICN_REQUIRE(truth.size() == pred.size(), "confusion sizes");
-  ICN_REQUIRE(k >= 1, "confusion k");
-  std::vector<std::vector<std::size_t>> m(
-      static_cast<std::size_t>(k),
-      std::vector<std::size_t>(static_cast<std::size_t>(k), 0));
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    ICN_REQUIRE(truth[i] >= 0 && truth[i] < k, "confusion truth label");
-    ICN_REQUIRE(pred[i] >= 0 && pred[i] < k, "confusion pred label");
-    ++m[static_cast<std::size_t>(truth[i])][static_cast<std::size_t>(pred[i])];
-  }
-  return m;
 }
 
 }  // namespace icn::ml

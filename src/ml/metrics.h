@@ -2,9 +2,7 @@
 // the Silhouette score (Rousseeuw 1987) and the Dunn index (Dunn 1973).
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "ml/distance.h"
 #include "ml/matrix.h"
@@ -28,11 +26,6 @@ namespace icn::ml {
 [[nodiscard]] double dunn_index(const CondensedDistances& dist,
                                 std::span<const int> labels);
 
-/// Convenience overloads computing pairwise distances from the data matrix.
-[[nodiscard]] double silhouette_score(const Matrix& x,
-                                      std::span<const int> labels);
-[[nodiscard]] double dunn_index(const Matrix& x, std::span<const int> labels);
-
 /// Davies-Bouldin index: mean over clusters of the worst
 /// (scatter_i + scatter_j) / centroid-distance ratio. Lower is better;
 /// 0 for well-separated point clusters. Requires >= 2 non-empty clusters.
@@ -49,10 +42,5 @@ namespace icn::ml {
 /// Requires equal non-zero sizes.
 [[nodiscard]] double accuracy(std::span<const int> pred,
                               std::span<const int> truth);
-
-/// k x k confusion counts; entry (t, p) counts truth t predicted as p.
-/// Requires labels in [0, k).
-[[nodiscard]] std::vector<std::vector<std::size_t>> confusion_matrix(
-    std::span<const int> truth, std::span<const int> pred, int k);
 
 }  // namespace icn::ml

@@ -310,10 +310,4 @@ const std::vector<double>& DecisionTree::predict_proba(
   return node->value;
 }
 
-int DecisionTree::predict(std::span<const double> x) const {
-  const auto& proba = predict_proba(x);
-  return static_cast<int>(
-      std::max_element(proba.begin(), proba.end()) - proba.begin());
-}
-
 }  // namespace icn::ml

@@ -102,9 +102,6 @@ class DecisionTree {
   [[nodiscard]] const std::vector<double>& predict_proba(
       std::span<const double> x) const;
 
-  /// Arg-max class of predict_proba.
-  [[nodiscard]] int predict(std::span<const double> x) const;
-
   /// Total Gini-impurity decrease contributed by each feature (unnormalized);
   /// size = number of training features.
   [[nodiscard]] const std::vector<double>& impurity_importance() const {

@@ -4,14 +4,6 @@
 
 namespace icn::net {
 
-const std::array<City, kNumCities>& all_cities() {
-  static const std::array<City, kNumCities> kAll = {
-      City::kParis, City::kLille,    City::kLyon,
-      City::kRennes, City::kToulouse, City::kOther,
-  };
-  return kAll;
-}
-
 const char* city_name(City c) {
   switch (c) {
     case City::kParis:

@@ -3,7 +3,6 @@
 // that split to interpret clusters 0/4 vs 7, and 1/2/3 (Sec. 5.2.2).
 #pragma once
 
-#include <array>
 #include <cstddef>
 
 namespace icn::net {
@@ -20,9 +19,6 @@ enum class City : int {
 
 /// Number of city classes.
 inline constexpr std::size_t kNumCities = 6;
-
-/// All city classes.
-[[nodiscard]] const std::array<City, kNumCities>& all_cities();
 
 /// Human-readable name, e.g. "Paris".
 [[nodiscard]] const char* city_name(City c);

@@ -78,14 +78,6 @@ std::size_t paper_antenna_count(Environment e) {
   return 0;
 }
 
-std::size_t paper_total_antennas() {
-  std::size_t total = 0;
-  for (const Environment e : all_environments()) {
-    total += paper_antenna_count(e);
-  }
-  return total;
-}
-
 std::optional<Environment> classify_environment_from_name(
     std::string_view antenna_name) {
   std::string upper(antenna_name);

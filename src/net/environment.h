@@ -39,9 +39,6 @@ all_environments();
 /// (Table 1, N_env row; the total is 4,762).
 [[nodiscard]] std::size_t paper_antenna_count(Environment e);
 
-/// Sum of paper_antenna_count over all environments (= 4,762).
-[[nodiscard]] std::size_t paper_total_antennas();
-
 /// Classifies an environment from an MNO-style antenna name by keyword
 /// extraction (the Sec. 5.2.1 procedure), e.g.
 /// "IDF_METRO_CHATELET_HALL2_A3" -> kMetro. Case-insensitive; returns

@@ -122,16 +122,6 @@ std::string upper_city(City c) {
 
 }  // namespace
 
-const char* radio_tech_name(RadioTech t) {
-  switch (t) {
-    case RadioTech::kLte:
-      return "4G LTE";
-    case RadioTech::kNr:
-      return "5G NR (NSA)";
-  }
-  return "?";
-}
-
 Topology Topology::generate(const TopologyParams& params) {
   ICN_REQUIRE(params.scale > 0.0, "topology scale > 0");
   ICN_REQUIRE(params.outdoor_ratio >= 0.0, "topology outdoor ratio");
@@ -234,24 +224,6 @@ std::size_t Topology::environment_count(Environment e) const {
     if (a.environment == e) ++n;
   }
   return n;
-}
-
-std::size_t Topology::nr_count(bool indoor_side) const {
-  const auto& antennas = indoor_side ? indoor_ : outdoor_;
-  std::size_t n = 0;
-  for (const auto& a : antennas) {
-    if (a.tech == RadioTech::kNr) ++n;
-  }
-  return n;
-}
-
-std::vector<std::size_t> Topology::antennas_of_environment(
-    Environment e) const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < indoor_.size(); ++i) {
-    if (indoor_[i].environment == e) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace icn::net

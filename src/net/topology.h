@@ -27,9 +27,6 @@ enum class RadioTech : std::uint8_t {
   kNr = 1,   ///< 5G NSA gNodeB (anchored on the 4G core).
 };
 
-/// Human-readable name ("4G LTE" / "5G NR (NSA)").
-[[nodiscard]] const char* radio_tech_name(RadioTech t);
-
 /// One cellular antenna (a BTS sector carrier in the paper's terminology).
 struct Antenna {
   std::uint32_t id = 0;       ///< Dense id; indoor antennas come first.
@@ -83,13 +80,6 @@ class Topology {
 
   /// Number of indoor antennas in the given environment.
   [[nodiscard]] std::size_t environment_count(Environment e) const;
-
-  /// Indices (into indoor()) of antennas in the given environment.
-  [[nodiscard]] std::vector<std::size_t> antennas_of_environment(
-      Environment e) const;
-
-  /// Number of 5G NR antennas among indoor (or outdoor) antennas.
-  [[nodiscard]] std::size_t nr_count(bool indoor_side) const;
 
  private:
   std::vector<Antenna> indoor_;

@@ -27,9 +27,4 @@ std::optional<std::size_t> DpiClassifier::classify_client_hello(
   return classify(*sni);
 }
 
-void DpiClassifier::reset_stats() {
-  classified_ = 0;
-  unmatched_ = 0;
-}
-
 }  // namespace icn::probe

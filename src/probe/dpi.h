@@ -36,9 +36,6 @@ class DpiClassifier {
   /// Number of flows that matched no signature.
   [[nodiscard]] std::size_t unmatched() const { return unmatched_; }
 
-  /// Resets the counters.
-  void reset_stats();
-
  private:
   const icn::traffic::ServiceCatalog* catalog_;
   std::size_t classified_ = 0;

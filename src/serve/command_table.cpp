@@ -8,6 +8,18 @@
 namespace icn::serve {
 namespace {
 
+/// One entry of the command table.
+struct CommandHandler {
+  Opcode opcode{};
+  const char* name = "";
+  /// Exact body size in bytes, or -1 for variable (validated by run).
+  std::ptrdiff_t body_size = 0;
+  /// Appends the kOk reply body to `body`, or returns an error status (the
+  /// dispatcher then emits the typed error reply). `snap` is never null.
+  Status (*run)(const ServedSnapshot& snap, BodyReader& in,
+                std::vector<std::uint8_t>& body) = nullptr;
+};
+
 // --- kPing ---------------------------------------------------------------
 
 Status run_ping(const ServedSnapshot&, BodyReader&,
@@ -349,8 +361,6 @@ std::size_t reply_body_bound(const ServedSnapshot& snap, Opcode opcode,
 }
 
 }  // namespace
-
-std::span<const CommandHandler> command_table() { return kCommandTable; }
 
 void dispatch_request(const ServedSnapshot* snap,
                       std::span<const std::uint8_t> payload,

@@ -18,21 +18,6 @@
 
 namespace icn::serve {
 
-/// One entry of the command table.
-struct CommandHandler {
-  Opcode opcode{};
-  const char* name = "";
-  /// Exact body size in bytes, or -1 for variable (validated by run).
-  std::ptrdiff_t body_size = 0;
-  /// Appends the kOk reply body to `body`, or returns an error status (the
-  /// dispatcher then emits the typed error reply). `snap` is never null.
-  Status (*run)(const ServedSnapshot& snap, BodyReader& in,
-                std::vector<std::uint8_t>& body) = nullptr;
-};
-
-/// The table, indexed by opcode order (kPing..kRepin).
-[[nodiscard]] std::span<const CommandHandler> command_table();
-
 /// Serves one request frame payload from `snap` (nullptr = nothing
 /// published), appending exactly one reply frame to `out`.
 /// `max_reply_frame` caps the reply payload; a query whose answer would

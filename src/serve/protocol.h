@@ -42,7 +42,7 @@ inline constexpr std::size_t kReplyHeaderSize = 16;
 /// Default cap on a frame payload; override with ICN_SERVE_MAX_FRAME.
 inline constexpr std::size_t kDefaultMaxFrame = 1u << 20;
 
-/// Request opcodes. One CommandHandler per value (command_table.h).
+/// Request opcodes. One CommandHandler per value (command_table.cpp).
 enum class Opcode : std::uint8_t {
   kPing = 1,        ///< body: empty. reply: u32 protocol_version.
   kInfo = 2,        ///< body: empty. reply: snapshot shape + section flags.

@@ -20,13 +20,6 @@ CoverageMask CoverageMask::full(std::size_t rows, std::int64_t num_hours) {
   return mask;
 }
 
-void CoverageMask::set(std::size_t row, std::int64_t hour, bool covered) {
-  ICN_REQUIRE(row < rows_, "coverage row index");
-  ICN_REQUIRE(hour >= 0 && hour < num_hours_, "coverage hour index");
-  bits_[row * static_cast<std::size_t>(num_hours_) +
-        static_cast<std::size_t>(hour)] = covered ? 1 : 0;
-}
-
 bool CoverageMask::covered(std::size_t row, std::int64_t hour) const {
   ICN_REQUIRE(row < rows_, "coverage row index");
   ICN_REQUIRE(hour >= 0 && hour < num_hours_, "coverage hour index");

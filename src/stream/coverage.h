@@ -32,7 +32,6 @@ class CoverageMask {
   [[nodiscard]] static CoverageMask full(std::size_t rows,
                                          std::int64_t num_hours);
 
-  void set(std::size_t row, std::int64_t hour, bool covered = true);
   [[nodiscard]] bool covered(std::size_t row, std::int64_t hour) const;
 
   /// Copies a per-hour bitmap (0/1 bytes, length num_hours) into one row.

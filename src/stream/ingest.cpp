@@ -118,27 +118,35 @@ void StreamIngestor::push(std::span<const probe::ServiceSession> batch) {
 }
 
 void StreamIngestor::close_windows_before(std::int64_t bound) {
-  bool queued = false;
+  // While nothing is parked, each window is appended and synced as it
+  // closes. A window that closes behind a parked one queues behind it, and
+  // a call that found the queue non-empty retries it once at the end, so
+  // windows reach the file in closing order and a close call makes at most
+  // one failed attempt.
+  const bool was_parked = !pending_checkpoint_.empty();
   while (!open_.empty() && open_.begin()->first < bound) {
     auto node = open_.extract(open_.begin());
     HourlyWindow window{node.key(), std::move(node.mapped())};
     add_window_cells(totals_, window.cells);
     if (checkpoint_ != nullptr) {
-      if (defer_checkpoint_errors_) {
+      if (!pending_checkpoint_.empty()) {
         pending_checkpoint_.push_back({window, false});
-        queued = true;
       } else {
-        checkpoint_->append_window(window.hour, window.cells);
-        checkpoint_->sync();
+        bool appended = false;
+        try {
+          checkpoint_->append_window(window.hour, window.cells);
+          appended = true;
+          checkpoint_->sync();
+        } catch (const icn::util::IoError&) {
+          if (!defer_checkpoint_errors_) throw;
+          ++checkpoint_failures_;
+          pending_checkpoint_.push_back({window, appended});
+        }
       }
     }
     closed_.push_back(std::move(window));
   }
-  // Drain the queue immediately: on a healthy disk this produces the exact
-  // append/sync sequence of the direct path, so a no-fault run's checkpoint
-  // stays bit-identical; on a failing one the windows stay parked and the
-  // caller retries via flush_checkpoint().
-  if (queued) flush_checkpoint();
+  if (was_parked) flush_checkpoint();
 }
 
 bool StreamIngestor::flush_checkpoint() {

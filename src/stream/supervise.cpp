@@ -23,22 +23,12 @@ struct FeedSupervisor::Runtime {
   std::vector<std::uint32_t> repaired_by_hour;  ///< Length num_hours.
   std::unordered_set<std::uint64_t> seen;  ///< Accepted batch sequences.
 
-  FeedState state = FeedState::kActive;
-  QuarantineReason reason = QuarantineReason::kNone;
-  std::int64_t quarantined_at = -1;
+  /// Name, state and supervision counters; stats() adds the derived fields.
+  FeedStats stats;
   std::int64_t next_due = 0;
   std::int64_t last_progress = 0;
   std::size_t consecutive_failures = 0;
   bool stall_flagged = false;
-
-  std::size_t pulls = 0;
-  std::size_t batches = 0;
-  std::size_t records = 0;
-  std::size_t transients = 0;
-  std::size_t retries = 0;
-  std::size_t stalls = 0;
-  std::size_t dups = 0;
-  std::size_t corrupts = 0;
 
   // ENOSPC degradation: retry schedule for the feed's pending checkpoint
   // windows and seal-time failure count.
@@ -47,7 +37,8 @@ struct FeedSupervisor::Runtime {
   std::size_t seal_failures = 0;
 
   [[nodiscard]] bool terminal() const {
-    return state == FeedState::kDone || state == FeedState::kQuarantined;
+    return stats.state == FeedState::kDone ||
+           stats.state == FeedState::kQuarantined;
   }
 };
 
@@ -107,6 +98,7 @@ FeedSupervisor::FeedSupervisor(SupervisorParams params,
     }
     auto rt = std::make_unique<Runtime>();
     rt->spec = std::move(spec);
+    rt->stats.name = rt->spec.name;
     IngestParams ingest;
     ingest.antenna_ids = rt->spec.antenna_ids;
     ingest.num_services = params_.num_services;
@@ -184,8 +176,6 @@ FeedSupervisor::~FeedSupervisor() = default;
 
 FeedSupervisor::FeedSupervisor(FeedSupervisor&&) noexcept = default;
 
-std::size_t FeedSupervisor::num_feeds() const { return feeds_.size(); }
-
 bool FeedSupervisor::finished() const {
   return std::all_of(feeds_.begin(), feeds_.end(),
                      [](const auto& f) { return f->terminal(); });
@@ -260,12 +250,12 @@ std::int64_t FeedSupervisor::backoff_delay(std::size_t feed,
 
 void FeedSupervisor::poll(std::size_t feed) {
   auto& f = *feeds_[feed];
-  ++f.pulls;
+  ++f.stats.pulls;
   PullResult result;
   try {
     result = f.spec.source->pull();
   } catch (const TransientFeedError&) {
-    ++f.transients;
+    ++f.stats.transient_failures;
     ++f.consecutive_failures;
     if (f.consecutive_failures > params_.backoff.max_retries) {
       quarantine(feed, QuarantineReason::kRetriesExhausted);
@@ -273,8 +263,8 @@ void FeedSupervisor::poll(std::size_t feed) {
     }
     const std::int64_t delay = backoff_delay(feed, f.consecutive_failures);
     f.next_due = tick_ + delay;
-    f.state = FeedState::kBackoff;
-    ++f.retries;
+    f.stats.state = FeedState::kBackoff;
+    ++f.stats.retries_scheduled;
     events_.push_back({tick_, feed, SupervisorEventKind::kRetryScheduled,
                        static_cast<std::int64_t>(f.consecutive_failures),
                        delay});
@@ -283,7 +273,7 @@ void FeedSupervisor::poll(std::size_t feed) {
 
   // The channel answered: the transient-failure streak is over.
   f.consecutive_failures = 0;
-  if (f.state == FeedState::kBackoff) f.state = FeedState::kActive;
+  if (f.stats.state == FeedState::kBackoff) f.stats.state = FeedState::kActive;
 
   switch (result.status) {
     case PullStatus::kEndOfStream:
@@ -293,8 +283,8 @@ void FeedSupervisor::poll(std::size_t feed) {
       if (!f.stall_flagged &&
           tick_ - f.last_progress >= params_.stall_timeout_ticks) {
         f.stall_flagged = true;
-        f.state = FeedState::kStalled;
-        ++f.stalls;
+        f.stats.state = FeedState::kStalled;
+        ++f.stats.stall_episodes;
         events_.push_back({tick_, feed, SupervisorEventKind::kStallDetected,
                            f.last_progress, 0});
       }
@@ -313,7 +303,7 @@ void FeedSupervisor::accept_batch(std::size_t feed, FeedBatch&& batch) {
   // Dedup before anything else: a redelivery of an accepted sequence must
   // not double-count, whatever its payload looks like.
   if (f.seen.contains(batch.sequence)) {
-    ++f.dups;
+    ++f.stats.duplicate_batches;
     events_.push_back({tick_, feed, SupervisorEventKind::kDuplicateDropped,
                        static_cast<std::int64_t>(batch.sequence), 0});
     return;
@@ -325,11 +315,11 @@ void FeedSupervisor::accept_batch(std::size_t feed, FeedBatch&& batch) {
   // the circuit breaker. Per-record defects are judged individually below.
   if (batch.records.size() != batch.declared_records || batch.hour < 0 ||
       batch.hour >= params_.num_hours) {
-    ++f.corrupts;
+    ++f.stats.corrupt_batches;
     events_.push_back({tick_, feed, SupervisorEventKind::kCorruptBatch,
                        static_cast<std::int64_t>(batch.sequence),
                        static_cast<std::int64_t>(batch.declared_records)});
-    if (f.corrupts >= params_.corrupt_strikes) {
+    if (f.stats.corrupt_batches >= params_.corrupt_strikes) {
       quarantine(feed, QuarantineReason::kCorruptData);
     }
     return;
@@ -384,11 +374,11 @@ void FeedSupervisor::accept_batch(std::size_t feed, FeedBatch&& batch) {
   if (delivered == 0 || rejected < delivered) {
     f.covered[static_cast<std::size_t>(batch.hour)] = 1;
   }
-  ++f.batches;
-  f.records += batch.records.size();
+  ++f.stats.batches_accepted;
+  f.stats.records_accepted += batch.records.size();
   f.last_progress = tick_;
   f.stall_flagged = false;
-  f.state = FeedState::kActive;
+  f.stats.state = FeedState::kActive;
 }
 
 void FeedSupervisor::seal(std::size_t feed) {
@@ -441,7 +431,7 @@ void FeedSupervisor::seal(std::size_t feed) {
 void FeedSupervisor::finish_feed(std::size_t feed) {
   auto& f = *feeds_[feed];
   seal(feed);
-  f.state = FeedState::kDone;
+  f.stats.state = FeedState::kDone;
   const auto covered_hours = static_cast<std::int64_t>(
       std::count(f.covered.begin(), f.covered.end(), std::uint8_t{1}));
   events_.push_back(
@@ -451,9 +441,9 @@ void FeedSupervisor::finish_feed(std::size_t feed) {
 void FeedSupervisor::quarantine(std::size_t feed, QuarantineReason reason) {
   auto& f = *feeds_[feed];
   seal(feed);
-  f.state = FeedState::kQuarantined;
-  f.reason = reason;
-  f.quarantined_at = tick_;
+  f.stats.state = FeedState::kQuarantined;
+  f.stats.quarantine_reason = reason;
+  f.stats.quarantined_at_tick = tick_;
   events_.push_back({tick_, feed, SupervisorEventKind::kQuarantined,
                      static_cast<std::int64_t>(reason), 0});
 }
@@ -461,19 +451,7 @@ void FeedSupervisor::quarantine(std::size_t feed, QuarantineReason reason) {
 FeedStats FeedSupervisor::stats(std::size_t feed) const {
   ICN_REQUIRE(feed < feeds_.size(), "feed index");
   const auto& f = *feeds_[feed];
-  FeedStats stats;
-  stats.name = f.spec.name;
-  stats.state = f.state;
-  stats.quarantine_reason = f.reason;
-  stats.quarantined_at_tick = f.quarantined_at;
-  stats.pulls = f.pulls;
-  stats.batches_accepted = f.batches;
-  stats.records_accepted = f.records;
-  stats.transient_failures = f.transients;
-  stats.retries_scheduled = f.retries;
-  stats.stall_episodes = f.stalls;
-  stats.duplicate_batches = f.dups;
-  stats.corrupt_batches = f.corrupts;
+  FeedStats stats = f.stats;
   stats.late_dropped = f.ingestor->late_dropped();
   stats.records_repaired = std::accumulate(
       f.repaired_by_hour.begin(), f.repaired_by_hour.end(), std::size_t{0});

@@ -225,7 +225,6 @@ class FeedSupervisor {
   void run();
 
   [[nodiscard]] std::int64_t now() const { return tick_; }
-  [[nodiscard]] std::size_t num_feeds() const;
   [[nodiscard]] bool finished() const;
 
   [[nodiscard]] FeedStats stats(std::size_t feed) const;

@@ -17,6 +17,9 @@ using icn::util::Rng;
 constexpr std::uint64_t kIndoorStream = 0x1D00'0001ULL;
 constexpr std::uint64_t kOutdoorStream = 0x0D00'0002ULL;
 
+/// Log-normal sigma of the per-antenna total volume.
+constexpr double kVolumeSigma = 0.9;
+
 /// Draws a share vector ~ Dirichlet(concentration * expected).
 std::vector<double> noisy_shares(std::span<const double> expected,
                                  double concentration, Rng& rng) {
@@ -90,8 +93,8 @@ DemandModel::DemandModel(const net::Topology& topology,
     profile.archetype = archetype;
     const double mu =
         std::log(mean_total_mb(ant.environment)) -
-        0.5 * params.volume_sigma * params.volume_sigma;
-    profile.total_mb = rng.lognormal(mu, params.volume_sigma);
+        0.5 * kVolumeSigma * kVolumeSigma;
+    profile.total_mb = rng.lognormal(mu, kVolumeSigma);
     // Local specialities: one or two *niche* services are idiosyncratically
     // popular at this particular antenna (the venue's own app, a local
     // habit). Niche services have tiny global shares, so this produces the
@@ -154,9 +157,8 @@ DemandModel::DemandModel(const net::Topology& topology,
   for (std::size_t i = lo; i < hi; ++i) {
     Rng rng(icn::util::derive_seed(params.seed, kOutdoorStream,
                                    outdoor[i].id));
-    const double mu = std::log(2.0e5) -
-                      0.5 * params.volume_sigma * params.volume_sigma;
-    const double total_mb = rng.lognormal(mu, params.volume_sigma);
+    const double mu = std::log(2.0e5) - 0.5 * kVolumeSigma * kVolumeSigma;
+    const double total_mb = rng.lognormal(mu, kVolumeSigma);
     // "Outside-in" spillover: an outdoor macro within 1 km of an ICN site
     // serves some of the same population, so its mix leans slightly (weight
     // drawn around 0.28) towards the dominant archetype of that site.

@@ -31,8 +31,6 @@ struct DemandParams {
   /// Same for outdoor antennas (outdoor BSs serve broad populations, so
   /// their mixes are tighter around the global average).
   double outdoor_concentration = 700.0;
-  /// Log-normal sigma of the per-antenna total volume.
-  double volume_sigma = 0.9;
 };
 
 /// Generated demand profile of one indoor antenna.

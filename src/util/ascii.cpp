@@ -145,22 +145,4 @@ std::string render_sankey(std::vector<SankeyFlow> flows,
   return out;
 }
 
-std::string render_sparkline(std::span<const double> values) {
-  if (values.empty()) return std::string();
-  static constexpr const char* kBlocks[] = {"▁", "▂", "▃",
-                                            "▄", "▅", "▆",
-                                            "▇", "█"};
-  const double lo = min_value(values);
-  const double hi = max_value(values);
-  std::string out;
-  for (const double v : values) {
-    std::size_t level = 0;
-    if (hi > lo) {
-      level = static_cast<std::size_t>((v - lo) / (hi - lo) * 7.999);
-    }
-    out += kBlocks[std::min<std::size_t>(level, 7)];
-  }
-  return out;
-}
-
 }  // namespace icn::util

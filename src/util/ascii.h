@@ -50,8 +50,4 @@ struct SankeyFlow {
 [[nodiscard]] std::string render_sankey(std::vector<SankeyFlow> flows,
                                         double min_fraction = 0.01);
 
-/// Renders a time series (e.g. one day of traffic) as a sparkline using
-/// the 8-level block ramp. Empty input renders empty.
-[[nodiscard]] std::string render_sparkline(std::span<const double> values);
-
 }  // namespace icn::util

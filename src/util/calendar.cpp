@@ -23,12 +23,6 @@ bool is_weekend(Weekday d) {
   return d == Weekday::kSaturday || d == Weekday::kSunday;
 }
 
-const char* weekday_name(Weekday d) {
-  static constexpr std::array<const char*, 7> kNames = {
-      "Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"};
-  return kNames[static_cast<std::size_t>(d)];
-}
-
 std::int64_t Date::days_since_epoch() const {
   // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
   const int y = year - (month <= 2 ? 1 : 0);
@@ -94,16 +88,6 @@ Date DateRange::date_at(std::int64_t d) const {
 
 Weekday DateRange::weekday_at(std::int64_t d) const {
   return date_at(d).weekday();
-}
-
-std::int64_t DateRange::day_of_hour(std::int64_t h) const {
-  ICN_REQUIRE(h >= 0 && h < num_hours(), "DateRange hour index");
-  return h / 24;
-}
-
-int DateRange::hour_of_day(std::int64_t h) const {
-  ICN_REQUIRE(h >= 0 && h < num_hours(), "DateRange hour index");
-  return static_cast<int>(h % 24);
 }
 
 bool DateRange::contains(const Date& d) const {

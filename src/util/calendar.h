@@ -26,9 +26,6 @@ enum class Weekday : int {
 /// True for Saturday / Sunday.
 [[nodiscard]] bool is_weekend(Weekday d);
 
-/// Short English name, e.g. "Mon".
-[[nodiscard]] const char* weekday_name(Weekday d);
-
 /// A civil (proleptic Gregorian) date.
 struct Date {
   int year = 1970;
@@ -75,10 +72,6 @@ class DateRange {
   [[nodiscard]] Date date_at(std::int64_t d) const;
   /// Weekday of day index d.
   [[nodiscard]] Weekday weekday_at(std::int64_t d) const;
-  /// Day index of an hour index.
-  [[nodiscard]] std::int64_t day_of_hour(std::int64_t h) const;
-  /// Hour-of-day (0..23) of an hour index.
-  [[nodiscard]] int hour_of_day(std::int64_t h) const;
   /// True when the given date falls inside the range.
   [[nodiscard]] bool contains(const Date& d) const;
   /// Day index of a date inside the range. Requires contains(d).

@@ -1,8 +1,6 @@
 #include "util/csv.h"
 
-#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -16,18 +14,6 @@ void CsvWriter::write_row(const CsvRow& fields) {
     *out_ << csv_escape(fields[i]);
   }
   *out_ << '\n';
-}
-
-void CsvWriter::write_numeric_row(const std::vector<double>& values) {
-  CsvRow row;
-  row.reserve(values.size());
-  for (const double v : values) {
-    std::ostringstream ss;
-    ss.precision(std::numeric_limits<double>::max_digits10);
-    ss << v;
-    row.push_back(ss.str());
-  }
-  write_row(row);
 }
 
 std::string csv_escape(const std::string& field) {
@@ -97,13 +83,6 @@ std::vector<CsvRow> parse_csv(const std::string& text) {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-CsvRow parse_csv_line(const std::string& line) {
-  const auto rows = parse_csv(line);
-  if (rows.empty()) return {};
-  ICN_REQUIRE(rows.size() == 1, "parse_csv_line given multiple lines");
-  return rows.front();
 }
 
 }  // namespace icn::util

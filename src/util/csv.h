@@ -24,9 +24,6 @@ class CsvWriter {
   /// Writes one row (quoting fields as needed) followed by '\n'.
   void write_row(const CsvRow& fields);
 
-  /// Convenience: formats doubles with max_digits10 precision.
-  void write_numeric_row(const std::vector<double>& values);
-
  private:
   std::ostream* out_;
 };
@@ -37,8 +34,5 @@ class CsvWriter {
 /// Parses a full CSV document (handles quoted fields and embedded newlines).
 /// Throws PreconditionError on unterminated quotes.
 [[nodiscard]] std::vector<CsvRow> parse_csv(const std::string& text);
-
-/// Parses one CSV line without embedded newlines (fast path for tests).
-[[nodiscard]] CsvRow parse_csv_line(const std::string& line);
 
 }  // namespace icn::util

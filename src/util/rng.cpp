@@ -24,11 +24,6 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
-std::uint64_t derive_seed(std::uint64_t seed) {
-  std::uint64_t x = seed;
-  return splitmix64(x);
-}
-
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a) {
   std::uint64_t x = seed;
   std::uint64_t h = splitmix64(x);
@@ -118,13 +113,6 @@ double Rng::normal(double mean, double sigma) {
 
 double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
-}
-
-double Rng::exponential(double lambda) {
-  ICN_REQUIRE(lambda > 0.0, "exponential rate");
-  double u = uniform();
-  while (u <= std::numeric_limits<double>::min()) u = uniform();
-  return -std::log(u) / lambda;
 }
 
 std::uint64_t Rng::poisson(double lambda) {

@@ -25,7 +25,6 @@ namespace icn::util {
 
 /// Stable 64-bit stream-splitting hash (SplitMix64 finalizer chain).
 /// derive_seed(s, a, b) != derive_seed(s, b, a) for a != b.
-[[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed);
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a);
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a,
                                         std::uint64_t b);
@@ -67,8 +66,6 @@ class Rng {
   double normal(double mean, double sigma);
   /// Lognormal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma);
-  /// Exponential with the given rate lambda > 0.
-  double exponential(double lambda);
   /// Poisson count with mean lambda >= 0 (exact for small lambda,
   /// normal-approximation with continuity correction for lambda > 256).
   std::uint64_t poisson(double lambda);

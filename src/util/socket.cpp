@@ -45,12 +45,6 @@ Fd& Fd::operator=(Fd&& other) noexcept {
   return *this;
 }
 
-int Fd::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Fd::close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -27,8 +27,6 @@ class Fd {
 
   [[nodiscard]] int get() const { return fd_; }
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  /// Releases ownership without closing.
-  [[nodiscard]] int release();
   void close();
 
  private:

@@ -98,12 +98,6 @@ double Histogram::bin_width() const {
   return counts.empty() ? 0.0 : (hi - lo) / static_cast<double>(counts.size());
 }
 
-std::size_t Histogram::total() const {
-  std::size_t t = 0;
-  for (const std::size_t c : counts) t += c;
-  return t;
-}
-
 Histogram make_histogram(std::span<const double> xs, double lo, double hi,
                          std::size_t bins) {
   ICN_REQUIRE(bins > 0, "histogram bins");
@@ -121,16 +115,6 @@ Histogram make_histogram(std::span<const double> xs, double lo, double hi,
     ++h.counts[bin];
   }
   return h;
-}
-
-std::vector<double> normalize_by_max(std::span<const double> xs) {
-  std::vector<double> out(xs.begin(), xs.end());
-  if (out.empty()) return out;
-  const double mx = max_value(xs);
-  if (mx > 0.0) {
-    for (auto& v : out) v /= mx;
-  }
-  return out;
 }
 
 double adjusted_rand_index(std::span<const int> a, std::span<const int> b) {

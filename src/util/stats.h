@@ -54,8 +54,6 @@ struct Histogram {
   [[nodiscard]] double bin_left(std::size_t i) const;
   /// Width of each bin.
   [[nodiscard]] double bin_width() const;
-  /// Total number of samples.
-  [[nodiscard]] std::size_t total() const;
 };
 
 /// Builds a histogram with `bins` equal-width bins over [lo, hi]; samples
@@ -63,9 +61,6 @@ struct Histogram {
 /// and lo < hi.
 [[nodiscard]] Histogram make_histogram(std::span<const double> xs, double lo,
                                        double hi, std::size_t bins);
-
-/// Normalizes values by their maximum (all zero stays zero).
-[[nodiscard]] std::vector<double> normalize_by_max(std::span<const double> xs);
 
 /// Adjusted Rand Index between two labelings of the same points, in
 /// [-1, 1] with 1 = identical partitions. Requires equal non-zero sizes.

@@ -11,19 +11,12 @@ namespace icn::util {
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   ICN_REQUIRE(!headers_.empty(), "table needs at least one column");
-  alignment_.assign(headers_.size(), Align::kRight);
-  alignment_.front() = Align::kLeft;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
   ICN_REQUIRE(cells.size() <= headers_.size(), "row wider than header");
   cells.resize(headers_.size());
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::set_alignment(std::vector<Align> alignment) {
-  ICN_REQUIRE(alignment.size() == headers_.size(), "alignment width");
-  alignment_ = std::move(alignment);
 }
 
 std::string TextTable::to_string() const {
@@ -37,9 +30,9 @@ std::string TextTable::to_string() const {
   auto emit_cell = [&](std::string& out, const std::string& cell,
                        std::size_t c) {
     const std::size_t pad = widths[c] - cell.size();
-    if (alignment_[c] == Align::kRight) out.append(pad, ' ');
+    if (c != 0) out.append(pad, ' ');
     out += cell;
-    if (alignment_[c] == Align::kLeft) out.append(pad, ' ');
+    if (c == 0) out.append(pad, ' ');
   };
   std::string out;
   for (std::size_t c = 0; c < headers_.size(); ++c) {
@@ -72,17 +65,6 @@ std::string fmt_double(double v, int decimals) {
 
 std::string fmt_percent(double fraction, int decimals) {
   return fmt_double(fraction * 100.0, decimals) + "%";
-}
-
-std::string fmt_bytes(double bytes) {
-  static constexpr const char* kUnits[] = {"B", "KB", "MB", "GB", "TB", "PB"};
-  int unit = 0;
-  double v = bytes;
-  while (v >= 1000.0 && unit < 5) {
-    v /= 1000.0;
-    ++unit;
-  }
-  return fmt_double(v, 1) + " " + kUnits[unit];
 }
 
 }  // namespace icn::util

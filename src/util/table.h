@@ -10,10 +10,8 @@
 
 namespace icn::util {
 
-/// Column alignment for TextTable.
-enum class Align { kLeft, kRight };
-
-/// Accumulates rows of string cells and prints them with aligned columns.
+/// Accumulates rows of string cells and prints them with aligned columns:
+/// the first column left-aligned, the rest right-aligned.
 class TextTable {
  public:
   /// Creates a table with the given column headers.
@@ -21,9 +19,6 @@ class TextTable {
 
   /// Appends one row; missing trailing cells render empty, extra cells throw.
   void add_row(std::vector<std::string> cells);
-
-  /// Sets per-column alignment (default: first column left, rest right).
-  void set_alignment(std::vector<Align> alignment);
 
   /// Number of data rows added so far.
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
@@ -37,7 +32,6 @@ class TextTable {
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<Align> alignment_;
 };
 
 /// Formats a double with the given number of decimals ("%.*f").
@@ -45,8 +39,5 @@ class TextTable {
 
 /// Formats a fraction in [0,1] as "12.3%".
 [[nodiscard]] std::string fmt_percent(double fraction, int decimals = 1);
-
-/// Formats a byte count as a human readable "12.3 GB" style string (SI).
-[[nodiscard]] std::string fmt_bytes(double bytes);
 
 }  // namespace icn::util

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <numeric>
 
@@ -244,12 +245,15 @@ TEST(DegradedPipelineTest, PartialCoverageExcludesAntennasAndReportsGaps) {
   }
   study.coverage = stream::CoverageMask::full(rows, hours);
   // Row 0: dropout windows [5, 10) and [20, 22) — stays above threshold.
-  for (std::int64_t h = 5; h < 10; ++h) study.coverage.set(0, h, false);
-  for (std::int64_t h = 20; h < 22; ++h) study.coverage.set(0, h, false);
+  std::vector<std::uint8_t> row0(static_cast<std::size_t>(hours), 1);
+  std::fill(row0.begin() + 5, row0.begin() + 10, 0);
+  std::fill(row0.begin() + 20, row0.begin() + 22, 0);
+  study.coverage.set_row(0, row0);
   // Rows 3 and 7: covered for 12 of 48 hours only — excluded.
-  for (const std::size_t r : {std::size_t{3}, std::size_t{7}}) {
-    for (std::int64_t h = 12; h < hours; ++h) study.coverage.set(r, h, false);
-  }
+  std::vector<std::uint8_t> short_row(static_cast<std::size_t>(hours), 0);
+  std::fill(short_row.begin(), short_row.begin() + 12, 1);
+  study.coverage.set_row(3, short_row);
+  study.coverage.set_row(7, short_row);
 
   const std::string path = ::testing::TempDir() + "icn_degraded.snap";
   std::remove(path.c_str());

@@ -256,8 +256,8 @@ TEST(ChaosSweepTest, ConvergesToFaultFreeRunOutsideInjectedGaps) {
     if (complete) {
       for (std::size_t r = 0; r < kAntennasPerProbe; ++r) {
         for (std::size_t j = 0; j < kServices; ++j) {
-          ASSERT_EQ(chaos.study.traffic.at(p * kAntennasPerProbe + r, j),
-                    clean.totals[p].at(r, j))
+          ASSERT_EQ(chaos.study.traffic(p * kAntennasPerProbe + r, j),
+                    clean.totals[p](r, j))
               << "probe " << p;
         }
       }

@@ -382,8 +382,8 @@ TEST(ChaosQualityTest, FuzzedAnalysisMatchesSurvivingRecordsBitForBit) {
     const ml::Matrix expected = ingest.traffic_matrix();
     for (std::size_t r = 0; r < kAntennasPerProbe; ++r) {
       for (std::size_t j = 0; j < kServices; ++j) {
-        ASSERT_EQ(run.study.traffic.at(p * kAntennasPerProbe + r, j),
-                  expected.at(r, j))
+        ASSERT_EQ(run.study.traffic(p * kAntennasPerProbe + r, j),
+                  expected(r, j))
             << "probe " << p << " row " << r << " service " << j;
       }
     }

@@ -420,6 +420,157 @@ TEST(DiskChaosTest, TornPublishObservesOnlyOldOrNewGeneration) {
 }
 
 // ---------------------------------------------------------------------------
+// Standalone ingestor checkpoint errors
+
+stream::IngestParams ingest_params(const std::vector<std::uint32_t>& ids,
+                                   bool defer) {
+  stream::IngestParams params;
+  params.antenna_ids = ids;
+  params.num_services = kServices;
+  params.num_hours = kHours;
+  params.defer_checkpoint_errors = defer;
+  return params;
+}
+
+TEST(DiskChaosTest, IngestorPropagatesCheckpointErrorsWithoutDeferral) {
+  // Probe for a seed that keeps the checkpoint's header and meta (write ops
+  // 0-2) and the first window (ops 3-4) clean, then starts an ENOSPC run on
+  // a later window's append.
+  std::uint64_t seed = 0;
+  for (std::uint64_t candidate = 1; candidate < 2000 && seed == 0;
+       ++candidate) {
+    DiskFaultPlanParams params;
+    params.seed = candidate;
+    params.enospc_rate = 0.2;
+    const DiskFaultPlan plan{params};
+    bool head_clean = true;
+    for (std::uint64_t op = 0; op < 5; ++op) {
+      if (plan.enospc_run_starting(0, op) != 0) head_clean = false;
+    }
+    if (!head_clean) continue;
+    for (std::uint64_t op = 5; op < 3 + 2 * kHours; ++op) {
+      if (plan.enospc_run_starting(0, op) != 0) {
+        seed = candidate;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(seed, 0u) << "no usable seed in the probe range";
+
+  const std::vector<std::uint32_t> ids = {7, 8};
+  const auto script = stream::hourly_script(probe_sessions(ids, 29), kHours);
+  DiskFaultPlanParams params;
+  params.seed = seed;
+  params.enospc_rate = 0.2;
+  FaultyVfs vfs{DiskFaultPlan{params}};
+  TempFile tmp("ingest_enospc.snap");
+  std::string error;
+  std::vector<stream::HourlyWindow> durable;
+  {
+    const auto ingest_with = ingest_params(ids, false);
+    SnapshotWriter writer = stream::begin_checkpoint(tmp.path(), ingest_with,
+                                                     &vfs);
+    stream::StreamIngestor ingest(ingest_with, &writer);
+    try {
+      for (const auto& batch : script) ingest.push(batch.records);
+      ingest.finish();
+    } catch (const icn::util::IoError& err) {
+      error = err.what();
+    }
+    EXPECT_EQ(ingest.checkpoint_failures(), 0u);
+    EXPECT_EQ(ingest.pending_checkpoint_windows(), 0u);
+    durable = ingest.take_closed();
+    writer.close();
+  }
+  ASSERT_FALSE(error.empty()) << "the probed seed must inject ENOSPC";
+  EXPECT_NE(error.find(tmp.path()), std::string::npos) << error;
+  EXPECT_NE(error.find("no space"), std::string::npos) << error;
+  ASSERT_GE(durable.size(), 1u);
+  ASSERT_LT(durable.size(), static_cast<std::size_t>(kHours));
+
+  // The failed append rolled back, so the file is exactly the windows that
+  // closed before it, each synced: recovery resumes right after them.
+  const stream::ResumeInfo info = stream::recover_checkpoint(tmp.path());
+  EXPECT_FALSE(info.recovery.truncated);
+  EXPECT_EQ(info.recovery.valid_sections, 1 + durable.size());
+  EXPECT_EQ(info.first_open_hour,
+            static_cast<std::int64_t>(durable.size()));
+  const store::MappedSnapshot snap(tmp.path());
+  ASSERT_EQ(snap.windows().size(), durable.size());
+  for (std::size_t w = 0; w < durable.size(); ++w) {
+    EXPECT_EQ(snap.windows()[w].hour, durable[w].hour);
+    ASSERT_EQ(snap.windows()[w].cells.size(), durable[w].cells.size());
+    EXPECT_EQ(std::memcmp(snap.windows()[w].cells.data(),
+                          durable[w].cells.data(),
+                          durable[w].cells.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(DiskChaosTest, DeferredIngestorRetriesFailedSyncWithoutReappending) {
+  // Probe for a seed whose checkpoint fsyncs fail only at op 1: the sync of
+  // the first window, after its section was appended. Op 0 (the meta sync)
+  // and every later sync succeed.
+  std::uint64_t seed = 0;
+  for (std::uint64_t candidate = 1; candidate < 5000 && seed == 0;
+       ++candidate) {
+    DiskFaultPlanParams params;
+    params.seed = candidate;
+    params.fsync_fail_rate = 0.1;
+    const DiskFaultPlan plan{params};
+    bool wanted = !plan.fsync_fails(0, 0) && plan.fsync_fails(0, 1);
+    for (std::uint64_t op = 2; op < 16 && wanted; ++op) {
+      if (plan.fsync_fails(0, op)) wanted = false;
+    }
+    if (wanted) seed = candidate;
+  }
+  ASSERT_NE(seed, 0u) << "no usable seed in the probe range";
+
+  const std::vector<std::uint32_t> ids = {7, 8};
+  const auto script = stream::hourly_script(probe_sessions(ids, 31), kHours);
+  const auto run = [&](const std::string& path, Vfs& vfs, bool flaky) {
+    const auto params = ingest_params(ids, true);
+    SnapshotWriter writer = stream::begin_checkpoint(path, params, &vfs);
+    stream::StreamIngestor ingest(params, &writer);
+    ingest.push(script[0].records);
+    // Hour 1's batch closes window 0: its section lands but its sync fails,
+    // so it is parked as appended and only a bare sync is retried.
+    ingest.push(script[1].records);
+    EXPECT_EQ(ingest.checkpoint_failures(), flaky ? 1u : 0u);
+    EXPECT_EQ(ingest.pending_checkpoint_windows(), flaky ? 1u : 0u);
+    EXPECT_TRUE(ingest.flush_checkpoint());
+    EXPECT_EQ(ingest.pending_checkpoint_windows(), 0u);
+    for (std::size_t b = 2; b < script.size(); ++b) {
+      ingest.push(script[b].records);
+    }
+    ingest.finish();
+    EXPECT_EQ(ingest.pending_checkpoint_windows(), 0u);
+    EXPECT_EQ(ingest.checkpoint_failures(), flaky ? 1u : 0u);
+    writer.close();
+  };
+
+  TempFile healthy("ingest_sync_ref.snap");
+  FaultyVfs clean_vfs{DiskFaultPlan{DiskFaultPlanParams{}}};
+  run(healthy.path(), clean_vfs, false);
+
+  DiskFaultPlanParams params;
+  params.seed = seed;
+  params.fsync_fail_rate = 0.1;
+  FaultyVfs vfs{DiskFaultPlan{params}};
+  TempFile degraded("ingest_sync.snap");
+  run(degraded.path(), vfs, true);
+
+  ASSERT_EQ(vfs.ledger().size(), 1u);
+  EXPECT_EQ(vfs.ledger()[0].kind, FaultKind::kFsyncFail);
+  // The retry is one extra fsync and no extra write.
+  EXPECT_EQ(vfs.op_count(), clean_vfs.op_count() + 1);
+  EXPECT_EQ(read_all(degraded.path()), read_all(healthy.path()));
+  EXPECT_EQ(store::scan_snapshot(degraded.path()).sections.size(),
+            1 + static_cast<std::size_t>(kHours))
+      << "a retried sync must never duplicate the window's section";
+}
+
+// ---------------------------------------------------------------------------
 // ENOSPC-degraded supervision
 
 TEST(DiskChaosTest, SupervisorDegradesGracefullyUnderEnospc) {

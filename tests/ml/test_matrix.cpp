@@ -35,29 +35,12 @@ TEST(MatrixTest, FromDataRejectsWrongSize) {
   EXPECT_THROW(Matrix(2, 2, {1.0, 2.0}), icn::util::PreconditionError);
 }
 
-TEST(MatrixTest, CheckedAccessThrows) {
-  Matrix m(2, 2);
-  EXPECT_THROW(m.at(2, 0), icn::util::PreconditionError);
-  EXPECT_THROW(m.at(0, 2), icn::util::PreconditionError);
-  m.at(1, 1) = 7.0;
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 7.0);
-}
-
 TEST(MatrixTest, RowViewIsWritable) {
   Matrix m(2, 3);
   auto row = m.row(1);
   row[2] = 9.0;
   EXPECT_DOUBLE_EQ(m(1, 2), 9.0);
   EXPECT_THROW(m.row(5), icn::util::PreconditionError);
-}
-
-TEST(MatrixTest, ColumnCopies) {
-  const Matrix m(2, 2, {1.0, 2.0, 3.0, 4.0});
-  const auto col = m.column(1);
-  ASSERT_EQ(col.size(), 2u);
-  EXPECT_DOUBLE_EQ(col[0], 2.0);
-  EXPECT_DOUBLE_EQ(col[1], 4.0);
-  EXPECT_THROW(m.column(2), icn::util::PreconditionError);
 }
 
 TEST(MatrixTest, SelectRowsReorders) {

@@ -33,13 +33,13 @@ TEST(SilhouetteTest, HandComputedExample) {
   // Outer points (0 and 11): a = 1, b = 10.5 -> s = 9.5/10.5.
   // Inner points (1 and 10): a = 1, b = 9.5  -> s = 8.5/9.5.
   const double expected = 0.5 * (9.5 / 10.5 + 8.5 / 9.5);
-  EXPECT_NEAR(silhouette_score(x, labels), expected, 1e-9);
+  EXPECT_NEAR(silhouette_score(CondensedDistances(x), labels), expected, 1e-9);
 }
 
 TEST(SilhouetteTest, RangeIsBounded) {
   std::vector<int> labels;
   const Matrix x = two_blobs(20, 2.0, 1.0, 3, &labels);
-  const double s = silhouette_score(x, labels);
+  const double s = silhouette_score(CondensedDistances(x), labels);
   EXPECT_GE(s, -1.0);
   EXPECT_LE(s, 1.0);
 }
@@ -48,7 +48,8 @@ TEST(SilhouetteTest, SeparationIncreasesScore) {
   std::vector<int> l1, l2;
   const Matrix near = two_blobs(25, 2.0, 1.0, 5, &l1);
   const Matrix far = two_blobs(25, 20.0, 1.0, 5, &l2);
-  EXPECT_GT(silhouette_score(far, l2), silhouette_score(near, l1));
+  EXPECT_GT(silhouette_score(CondensedDistances(far), l2),
+            silhouette_score(CondensedDistances(near), l1));
 }
 
 TEST(SilhouetteTest, BadLabelingScoresWorse) {
@@ -58,7 +59,8 @@ TEST(SilhouetteTest, BadLabelingScoresWorse) {
   for (std::size_t i = 0; i < bad.size(); ++i) {
     bad[i] = static_cast<int>(i % 2);  // interleaved nonsense
   }
-  EXPECT_GT(silhouette_score(x, good), silhouette_score(x, bad) + 0.5);
+  const CondensedDistances d(x);
+  EXPECT_GT(silhouette_score(d, good), silhouette_score(d, bad) + 0.5);
 }
 
 TEST(SilhouetteTest, SingletonClusterContributesZero) {
@@ -67,16 +69,16 @@ TEST(SilhouetteTest, SingletonClusterContributesZero) {
   const std::vector<int> labels = {0, 0, 1};
   // Points 0,1: a=1, b=(10 resp. 9) -> s = (b-a)/b. Singleton: s=0.
   const double expected = ((10.0 - 1.0) / 10.0 + (9.0 - 1.0) / 9.0) / 3.0;
-  EXPECT_NEAR(silhouette_score(x, labels), expected, 1e-9);
+  EXPECT_NEAR(silhouette_score(CondensedDistances(x), labels), expected, 1e-9);
 }
 
 TEST(SilhouetteTest, RejectsDegenerateInput) {
-  Matrix x(3, 1, {0.0, 1.0, 2.0});
-  EXPECT_THROW(silhouette_score(x, std::vector<int>{0, 0, 0}),
+  const CondensedDistances d(Matrix(3, 1, {0.0, 1.0, 2.0}));
+  EXPECT_THROW(silhouette_score(d, std::vector<int>{0, 0, 0}),
                icn::util::PreconditionError);  // single cluster
-  EXPECT_THROW(silhouette_score(x, std::vector<int>{0, 2, 2}),
+  EXPECT_THROW(silhouette_score(d, std::vector<int>{0, 2, 2}),
                icn::util::PreconditionError);  // empty cluster 1
-  EXPECT_THROW(silhouette_score(x, std::vector<int>{0, -1, 1}),
+  EXPECT_THROW(silhouette_score(d, std::vector<int>{0, -1, 1}),
                icn::util::PreconditionError);
 }
 
@@ -84,28 +86,21 @@ TEST(DunnTest, HandComputedExample) {
   // Clusters {0,1} and {10,12}: min inter = 9, max diameter = 2.
   Matrix x(4, 1, {0.0, 1.0, 10.0, 12.0});
   const std::vector<int> labels = {0, 0, 1, 1};
-  EXPECT_NEAR(dunn_index(x, labels), 4.5, 1e-9);
+  EXPECT_NEAR(dunn_index(CondensedDistances(x), labels), 4.5, 1e-9);
 }
 
 TEST(DunnTest, AllSingletonsIsInfinite) {
   Matrix x(3, 1, {0.0, 5.0, 9.0});
   const std::vector<int> labels = {0, 1, 2};
-  EXPECT_TRUE(std::isinf(dunn_index(x, labels)));
+  EXPECT_TRUE(std::isinf(dunn_index(CondensedDistances(x), labels)));
 }
 
 TEST(DunnTest, SeparationIncreasesIndex) {
   std::vector<int> l1, l2;
   const Matrix near = two_blobs(15, 4.0, 0.5, 11, &l1);
   const Matrix far = two_blobs(15, 40.0, 0.5, 11, &l2);
-  EXPECT_GT(dunn_index(far, l2), dunn_index(near, l1));
-}
-
-TEST(MetricsTest, PrecomputedDistancesMatchMatrixOverloads) {
-  std::vector<int> labels;
-  const Matrix x = two_blobs(10, 6.0, 1.0, 13, &labels);
-  const CondensedDistances d(x);
-  EXPECT_NEAR(silhouette_score(d, labels), silhouette_score(x, labels), 1e-9);
-  EXPECT_NEAR(dunn_index(d, labels), dunn_index(x, labels), 1e-9);
+  EXPECT_GT(dunn_index(CondensedDistances(far), l2),
+            dunn_index(CondensedDistances(near), l1));
 }
 
 TEST(MetricsTest, LabelSizeMismatchThrows) {
@@ -122,23 +117,6 @@ TEST(AccuracyTest, Basics) {
   const std::vector<int> pred = {0, 1, 1, 1};
   EXPECT_DOUBLE_EQ(accuracy(pred, truth), 0.75);
   EXPECT_THROW(accuracy(std::vector<int>{}, std::vector<int>{}),
-               icn::util::PreconditionError);
-}
-
-TEST(ConfusionMatrixTest, CountsPerCell) {
-  const std::vector<int> truth = {0, 0, 1, 1, 1};
-  const std::vector<int> pred = {0, 1, 1, 1, 0};
-  const auto m = confusion_matrix(truth, pred, 2);
-  EXPECT_EQ(m[0][0], 1u);
-  EXPECT_EQ(m[0][1], 1u);
-  EXPECT_EQ(m[1][0], 1u);
-  EXPECT_EQ(m[1][1], 2u);
-}
-
-TEST(ConfusionMatrixTest, RejectsOutOfRangeLabels) {
-  const std::vector<int> truth = {0, 2};
-  const std::vector<int> pred = {0, 1};
-  EXPECT_THROW(confusion_matrix(truth, pred, 2),
                icn::util::PreconditionError);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -29,6 +30,13 @@ Matrix quadrant_data(std::size_t n, std::uint64_t seed,
   return x;
 }
 
+/// Arg-max class of the leaf distribution x falls into.
+int predicted_class(const DecisionTree& tree, std::span<const double> x) {
+  const auto& proba = tree.predict_proba(x);
+  return static_cast<int>(
+      std::max_element(proba.begin(), proba.end()) - proba.begin());
+}
+
 DecisionTree fit_tree(const Matrix& x, const std::vector<int>& y, int k,
                       DecisionTree::Params params = {},
                       std::uint64_t seed = 42) {
@@ -44,7 +52,7 @@ TEST(DecisionTreeTest, FitsPureLeafOnConstantLabels) {
   const auto tree = fit_tree(x, y, 2);
   EXPECT_EQ(tree.nodes().size(), 1u);
   EXPECT_TRUE(tree.nodes()[0].is_leaf());
-  EXPECT_EQ(tree.predict(std::vector<double>{0.0}), 1);
+  EXPECT_EQ(predicted_class(tree, std::vector<double>{0.0}), 1);
 }
 
 TEST(DecisionTreeTest, SeparableDataPerfectlyClassified) {
@@ -52,7 +60,7 @@ TEST(DecisionTreeTest, SeparableDataPerfectlyClassified) {
   const Matrix x = quadrant_data(200, 7, &y);
   const auto tree = fit_tree(x, y, 4);
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    EXPECT_EQ(tree.predict(x.row(i)), y[i]);
+    EXPECT_EQ(predicted_class(tree, x.row(i)), y[i]);
   }
 }
 
@@ -133,7 +141,7 @@ TEST(DecisionTreeTest, BootstrapSampleIndicesUsed) {
   // Train only on the low cluster: tree must predict 0 everywhere.
   const std::vector<std::size_t> sample = {0, 1, 0, 1};
   tree.fit(x, y, 2, {}, rng, sample);
-  EXPECT_EQ(tree.predict(std::vector<double>{10.5}), 0);
+  EXPECT_EQ(predicted_class(tree, std::vector<double>{10.5}), 0);
 }
 
 TEST(DecisionTreeTest, ImportanceConcentratesOnInformativeFeature) {
@@ -159,7 +167,7 @@ TEST(DecisionTreeTest, InputValidation) {
                icn::util::PreconditionError);
   EXPECT_THROW(tree.fit(x, std::vector<int>{0, 5}, 2, {}, rng),
                icn::util::PreconditionError);
-  EXPECT_THROW(tree.predict(std::vector<double>{1.0}),
+  EXPECT_THROW((void)tree.predict_proba(std::vector<double>{1.0}),
                icn::util::PreconditionError);  // unfitted
 }
 
@@ -167,7 +175,7 @@ TEST(DecisionTreeTest, PredictValidatesFeatureCount) {
   std::vector<int> y;
   const Matrix x = quadrant_data(40, 21, &y);
   const auto tree = fit_tree(x, y, 4);
-  EXPECT_THROW(tree.predict(std::vector<double>{1.0}),
+  EXPECT_THROW((void)tree.predict_proba(std::vector<double>{1.0}),
                icn::util::PreconditionError);
 }
 
@@ -178,7 +186,9 @@ TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {
   params.max_features = 1;  // random single feature per split
   const auto tree = fit_tree(x, y, 4, params);
   std::vector<int> pred(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) pred[i] = tree.predict(x.row(i));
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    pred[i] = predicted_class(tree, x.row(i));
+  }
   EXPECT_GT(accuracy(pred, y), 0.95);
 }
 

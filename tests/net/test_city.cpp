@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 namespace icn::net {
 namespace {
 
+constexpr City kCities[] = {City::kParis,  City::kLille,    City::kLyon,
+                            City::kRennes, City::kToulouse, City::kOther};
+
 TEST(CityTest, SixCityClasses) {
   EXPECT_EQ(kNumCities, 6u);
-  std::set<City> distinct(all_cities().begin(), all_cities().end());
-  EXPECT_EQ(distinct.size(), 6u);
+  EXPECT_EQ(std::size(kCities), kNumCities);
 }
 
 TEST(CityTest, ParisDetection) {
@@ -31,12 +34,12 @@ TEST(CityTest, ProvincialMetroCities) {
 
 TEST(CityTest, NamesAreDistinct) {
   std::set<std::string> names;
-  for (const City c : all_cities()) names.insert(city_name(c));
+  for (const City c : kCities) names.insert(city_name(c));
   EXPECT_EQ(names.size(), 6u);
 }
 
 TEST(CityTest, CentersAreInFrance) {
-  for (const City c : all_cities()) {
+  for (const City c : kCities) {
     const GeoPoint p = city_center(c);
     EXPECT_GT(p.lat_deg, 41.0);
     EXPECT_LT(p.lat_deg, 52.0);

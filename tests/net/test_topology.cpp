@@ -175,20 +175,18 @@ TEST(TopologyTest, RadioTechSplitMatchesNsaRollout) {
   params.scale = 1.0;
   params.outdoor_ratio = 2.0;
   const Topology topo = Topology::generate(params);
-  const double indoor_nr =
-      static_cast<double>(topo.nr_count(true)) /
-      static_cast<double>(topo.indoor().size());
-  const double outdoor_nr =
-      static_cast<double>(topo.nr_count(false)) /
-      static_cast<double>(topo.outdoor().size());
+  auto nr_share = [](const std::vector<Antenna>& antennas) {
+    std::size_t nr = 0;
+    for (const Antenna& a : antennas) {
+      if (a.tech == RadioTech::kNr) ++nr;
+    }
+    return static_cast<double>(nr) / static_cast<double>(antennas.size());
+  };
+  const double indoor_nr = nr_share(topo.indoor());
+  const double outdoor_nr = nr_share(topo.outdoor());
   EXPECT_NEAR(indoor_nr, 0.04, 0.015);
   EXPECT_NEAR(outdoor_nr, 0.25, 0.03);
   EXPECT_GT(outdoor_nr, indoor_nr * 3.0);
-}
-
-TEST(TopologyTest, RadioTechNames) {
-  EXPECT_STREQ(radio_tech_name(RadioTech::kLte), "4G LTE");
-  EXPECT_STREQ(radio_tech_name(RadioTech::kNr), "5G NR (NSA)");
 }
 
 TEST(TopologyTest, RadioTechFractionValidated) {
@@ -199,15 +197,6 @@ TEST(TopologyTest, RadioTechFractionValidated) {
   params.indoor_nr_fraction = 0.04;
   params.outdoor_nr_fraction = -0.1;
   EXPECT_THROW(Topology::generate(params), icn::util::PreconditionError);
-}
-
-TEST(TopologyTest, AntennasOfEnvironmentSelector) {
-  const Topology topo = small_topology();
-  const auto metros = topo.antennas_of_environment(Environment::kMetro);
-  EXPECT_EQ(metros.size(), topo.environment_count(Environment::kMetro));
-  for (const std::size_t i : metros) {
-    EXPECT_EQ(topo.indoor()[i].environment, Environment::kMetro);
-  }
 }
 
 }  // namespace

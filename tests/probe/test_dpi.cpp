@@ -42,7 +42,7 @@ TEST_F(DpiClassifierTest, StatsAccumulateAndReset) {
   (void)dpi_.classify("waze.com");
   EXPECT_EQ(dpi_.classified(), 2u);
   EXPECT_EQ(dpi_.unmatched(), 1u);
-  dpi_.reset_stats();
+  dpi_ = DpiClassifier(catalog_);
   EXPECT_EQ(dpi_.classified(), 0u);
   EXPECT_EQ(dpi_.unmatched(), 0u);
 }

@@ -288,7 +288,7 @@ TEST(StreamIngestTest, AddWindowCellsRejectsShapeMismatch) {
                icn::util::PreconditionError);
   const std::vector<double> good(kIds.size() * kServices, 2.0);
   add_window_cells(totals, good);
-  EXPECT_EQ(totals.at(0, 0), 2.0);
+  EXPECT_EQ(totals(0, 0), 2.0);
 }
 
 TEST(StreamCheckpointTest, KilledIngestResumesFromLastDurableWindow) {

@@ -355,7 +355,7 @@ TEST(FeedSupervisorTest, MergeConcatenatesFeedsInSpecOrder) {
   check_b.finish();
   const ml::Matrix totals_b = check_b.traffic_matrix();
   for (std::size_t j = 0; j < kServices; ++j) {
-    ASSERT_EQ(study.traffic.at(2, j), totals_b.at(0, j));
+    ASSERT_EQ(study.traffic(2, j), totals_b(0, j));
   }
 }
 

@@ -148,7 +148,8 @@ TEST_F(ArchetypeModelTest, MultipliersValidateArchetypeId) {
 
 TEST(ArchetypeMixTest, AllMixesAreDistributions) {
   for (const net::Environment e : net::all_environments()) {
-    for (const net::City c : net::all_cities()) {
+    for (std::size_t ci = 0; ci < net::kNumCities; ++ci) {
+      const auto c = static_cast<net::City>(ci);
       const auto mix = ArchetypeModel::archetype_mix(e, c);
       double total = 0.0;
       for (const double w : mix) {

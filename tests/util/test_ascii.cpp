@@ -95,13 +95,5 @@ TEST(RenderSankeyTest, EmptyAndInvalid) {
   EXPECT_THROW(render_sankey(negative), PreconditionError);
 }
 
-TEST(RenderSparklineTest, UsesFullRamp) {
-  const std::vector<double> values = {0.0, 1.0};
-  const std::string out = render_sparkline(values);
-  EXPECT_EQ(out.substr(0, 3), "▁");
-  EXPECT_EQ(out.substr(out.size() - 3), "█");
-  EXPECT_TRUE(render_sparkline({}).empty());
-}
-
 }  // namespace
 }  // namespace icn::util

@@ -64,11 +64,6 @@ TEST(WeekdayTest, WeekendDetection) {
   EXPECT_FALSE(is_weekend(Weekday::kFriday));
 }
 
-TEST(WeekdayTest, Names) {
-  EXPECT_STREQ(weekday_name(Weekday::kMonday), "Mon");
-  EXPECT_STREQ(weekday_name(Weekday::kSunday), "Sun");
-}
-
 TEST(DaysBetweenTest, Directional) {
   EXPECT_EQ(days_between(Date{2023, 1, 1}, Date{2023, 1, 11}), 10);
   EXPECT_EQ(days_between(Date{2023, 1, 11}, Date{2023, 1, 1}), -10);
@@ -92,17 +87,6 @@ TEST(DateRangeTest, TemporalWindowShape) {
 TEST(DateRangeTest, StrikeDayInsideBothRanges) {
   EXPECT_TRUE(study_period().contains(strike_day()));
   EXPECT_TRUE(temporal_window().contains(strike_day()));
-}
-
-TEST(DateRangeTest, HourIndexing) {
-  const DateRange period = study_period();
-  EXPECT_EQ(period.day_of_hour(0), 0);
-  EXPECT_EQ(period.hour_of_day(0), 0);
-  EXPECT_EQ(period.day_of_hour(25), 1);
-  EXPECT_EQ(period.hour_of_day(25), 1);
-  EXPECT_EQ(period.hour_of_day(period.num_hours() - 1), 23);
-  EXPECT_THROW(period.day_of_hour(period.num_hours()), PreconditionError);
-  EXPECT_THROW(period.hour_of_day(-1), PreconditionError);
 }
 
 TEST(DateRangeTest, IndexOfAndContains) {

@@ -28,17 +28,6 @@ TEST(CsvWriterTest, WritesRows) {
   EXPECT_EQ(out.str(), "a,\"b,c\",d\n1,2\n");
 }
 
-TEST(CsvWriterTest, NumericRowRoundTrips) {
-  std::ostringstream out;
-  CsvWriter writer(out);
-  writer.write_numeric_row({1.5, -2.25, 0.1});
-  const auto rows = parse_csv(out.str());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(std::stod(rows[0][0]), 1.5);
-  EXPECT_DOUBLE_EQ(std::stod(rows[0][1]), -2.25);
-  EXPECT_DOUBLE_EQ(std::stod(rows[0][2]), 0.1);
-}
-
 TEST(CsvParseTest, SimpleDocument) {
   const auto rows = parse_csv("a,b\nc,d\n");
   ASSERT_EQ(rows.size(), 2u);
@@ -91,12 +80,6 @@ TEST(CsvParseTest, RoundTripThroughWriter) {
   CsvWriter writer(out);
   for (const auto& row : original) writer.write_row(row);
   EXPECT_EQ(parse_csv(out.str()), original);
-}
-
-TEST(CsvParseLineTest, SingleLine) {
-  EXPECT_EQ(parse_csv_line("a,b,c"), (CsvRow{"a", "b", "c"}));
-  EXPECT_TRUE(parse_csv_line("").empty());
-  EXPECT_THROW(parse_csv_line("a\nb"), PreconditionError);
 }
 
 }  // namespace

@@ -131,18 +131,6 @@ TEST(RngTest, LognormalMedian) {
   EXPECT_GT(min_value(xs), 0.0);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(19);
-  std::vector<double> xs(50000);
-  for (auto& x : xs) x = rng.exponential(2.0);
-  EXPECT_NEAR(mean(xs), 0.5, 0.01);
-}
-
-TEST(RngTest, ExponentialRejectsNonPositiveRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.exponential(0.0), PreconditionError);
-}
-
 TEST(RngTest, PoissonZeroMean) {
   Rng rng(23);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
@@ -240,7 +228,7 @@ TEST(RngTest, CategoricalRejectsDegenerateWeights) {
 
 TEST(DeriveSeedTest, Deterministic) {
   EXPECT_EQ(derive_seed(1, 2, 3), derive_seed(1, 2, 3));
-  EXPECT_EQ(derive_seed(5), derive_seed(5));
+  EXPECT_EQ(derive_seed(5, 7), derive_seed(5, 7));
 }
 
 TEST(DeriveSeedTest, OrderSensitive) {

@@ -35,16 +35,6 @@ TEST(TextTableTest, RejectsEmptyHeader) {
   EXPECT_THROW(TextTable({}), PreconditionError);
 }
 
-TEST(TextTableTest, CustomAlignment) {
-  TextTable t({"l", "r"});
-  t.set_alignment({Align::kRight, Align::kLeft});
-  t.add_row({"a", "b"});
-  const std::string out = t.to_string();
-  // Data row: right-aligned 'a' under header 'l', left-aligned 'b'.
-  EXPECT_NE(out.find("a  b"), std::string::npos);
-  EXPECT_THROW(t.set_alignment({Align::kLeft}), PreconditionError);
-}
-
 TEST(TextTableTest, PrintMatchesToString) {
   TextTable t({"x"});
   t.add_row({"1"});
@@ -61,14 +51,6 @@ TEST(FormatTest, FmtDouble) {
 TEST(FormatTest, FmtPercent) {
   EXPECT_EQ(fmt_percent(0.1234), "12.3%");
   EXPECT_EQ(fmt_percent(1.0, 0), "100%");
-}
-
-TEST(FormatTest, FmtBytes) {
-  EXPECT_EQ(fmt_bytes(512.0), "512.0 B");
-  EXPECT_EQ(fmt_bytes(1.5e3), "1.5 KB");
-  EXPECT_EQ(fmt_bytes(2.0e6), "2.0 MB");
-  EXPECT_EQ(fmt_bytes(3.2e9), "3.2 GB");
-  EXPECT_EQ(fmt_bytes(7.0e15), "7.0 PB");
 }
 
 }  // namespace
