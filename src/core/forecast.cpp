@@ -36,8 +36,7 @@ std::vector<SeasonalForecaster> fit_seasonal_batch(
   // Forecaster i is written only by the chunk owning index i, so any
   // decomposition — including stolen chunks — produces the same batch.
   icn::util::parallel_for(
-      0, series.size(), icn::util::adaptive_grain(0, series.size()),
-      [&](std::size_t lo, std::size_t hi) {
+      0, series.size(), 8, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           out[i].fit(series[i], season_hours);
         }

@@ -9,10 +9,8 @@
 namespace icn::core {
 namespace {
 
-/// Row sums via the dispatched canonical-order kernel, requiring every entry
-/// non-negative and each total positive. The canonical order makes the
-/// totals — and therefore every downstream RSCA value — identical at every
-/// ICN_SIMD level.
+/// Row sums in the canonical 4-lane order of ml::vector_sum, requiring every
+/// entry non-negative and each total positive.
 std::vector<double> positive_row_totals(const ml::Matrix& traffic,
                                         const char* what) {
   std::vector<double> totals(traffic.rows(), 0.0);
@@ -28,9 +26,8 @@ std::vector<double> positive_row_totals(const ml::Matrix& traffic,
 }
 
 /// Per-service share of total traffic (the RCA denominator). Column sums
-/// accumulate row-by-row element-wise (a fixed order independent of the
-/// SIMD level); the grand total then sums the per-service sums in the
-/// canonical order.
+/// accumulate row-by-row element-wise; the grand total then sums the
+/// per-service sums in the canonical order.
 std::vector<double> service_shares(const ml::Matrix& traffic) {
   std::vector<double> shares(traffic.cols(), 0.0);
   for (std::size_t i = 0; i < traffic.rows(); ++i) {
@@ -65,8 +62,8 @@ ml::Matrix rca_against_baseline(const ml::Matrix& traffic,
 
 /// Fused traffic -> RSCA against an explicit baseline: RCA = (t/T)/s and
 /// RSCA = (RCA-1)/(RCA+1) collapse to (t - T*s)/(t + T*s), one divide per
-/// element through the dispatched ml::rsca_row kernel. Services with
-/// s <= 0 land on 0.0, matching RCA = 1 through the unfused path.
+/// element through ml::rsca_row. Services with s <= 0 land on 0.0, matching
+/// RCA = 1 through the unfused path.
 ml::Matrix rsca_against_baseline(const ml::Matrix& traffic,
                                  const std::vector<double>& baseline_share) {
   const auto row_totals =

@@ -21,7 +21,6 @@ Scenario Scenario::build(const ScenarioParams& params) {
 
   traffic::DemandParams demand;
   demand.seed = icn::util::derive_seed(params.seed, 2);
-  demand.concentration = params.concentration;
   s.demand_ = std::make_unique<traffic::DemandModel>(*s.topology_,
                                                      *s.archetypes_, demand);
 

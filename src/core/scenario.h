@@ -22,8 +22,6 @@ struct ScenarioParams {
   double scale = 1.0;
   /// Outdoor macro antennas per indoor antenna (paper: ~22k/4,762 = 4.62).
   double outdoor_ratio = 4.62;
-  /// Demand noise: Dirichlet concentration of per-antenna service mixes.
-  double concentration = 2200.0;
   /// Temporal noise: gamma shape (0 = noise-free hourly curves).
   double noise_shape = 25.0;
 };

@@ -16,7 +16,7 @@ bool corrupt_snapshot(const std::string& path, std::size_t probe,
   if (!spec) return false;
 
   std::vector<store::SectionInfo> windows;
-  for (const auto& info : store::scan_section_index(path, vfs)) {
+  for (const auto& info : store::scan_snapshot(path, vfs).sections) {
     if (info.type == store::SectionType::kWindow && info.payload_size > 0) {
       windows.push_back(info);
     }

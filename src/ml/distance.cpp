@@ -52,20 +52,6 @@ void squared_euclidean_x4_scalar(const double* a, const double* b,
   }
 }
 
-double vector_sum_scalar(const double* xs, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += xs[i];
-    s1 += xs[i + 1];
-    s2 += xs[i + 2];
-    s3 += xs[i + 3];
-  }
-  double acc = (s0 + s2) + (s1 + s3);
-  for (; i < n; ++i) acc += xs[i];
-  return acc;
-}
-
 #if defined(ICN_ML_X86)
 
 __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
@@ -85,20 +71,6 @@ __attribute__((target("avx2"))) double squared_euclidean_avx2(const double* a,
     const double d = a[i] - b[i];
     total += d * d;
   }
-  return total;
-}
-
-__attribute__((target("avx2"))) double vector_sum_avx2(const double* xs,
-                                                       std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs + i));
-  }
-  alignas(32) double s[4];
-  _mm256_store_pd(s, acc);
-  double total = (s[0] + s[2]) + (s[1] + s[3]);
-  for (; i < n; ++i) total += xs[i];
   return total;
 }
 
@@ -146,9 +118,6 @@ double squared_euclidean_avx2(const double* a, const double* b,
                               std::size_t n) {
   return squared_euclidean_scalar(a, b, n);
 }
-double vector_sum_avx2(const double* xs, std::size_t n) {
-  return vector_sum_scalar(xs, n);
-}
 void squared_euclidean_x4_avx2(const double* a, const double* b,
                                std::size_t stride, std::size_t n,
                                double out[4]) {
@@ -172,9 +141,18 @@ double euclidean(std::span<const double> a, std::span<const double> b) {
 }
 
 double vector_sum(std::span<const double> xs) {
-  static const auto kernel = icn::util::pick_kernel(detail::vector_sum_scalar,
-                                                    detail::vector_sum_avx2);
-  return kernel(xs.data(), xs.size());
+  const std::size_t n = xs.size();
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += xs[i];
+    s1 += xs[i + 1];
+    s2 += xs[i + 2];
+    s3 += xs[i + 3];
+  }
+  double acc = (s0 + s2) + (s1 + s3);
+  for (; i < n; ++i) acc += xs[i];
+  return acc;
 }
 
 void fill_condensed(const Matrix& x, bool squared, std::span<double> out,

@@ -1,12 +1,13 @@
 // Distance and accumulation kernels and the condensed pairwise-distance
 // matrix used by the clustering and cluster-validity code.
 //
-// The hot kernels (squared_euclidean, vector_sum) are runtime-dispatched over
-// a scalar and an AVX2 lane (util/simd.h: cpuid probe at first use, ICN_SIMD
-// override). Both lanes accumulate in the SAME canonical 4-lane order — lane
-// k sums elements i == k (mod 4), lanes combine as (s0 + s2) + (s1 + s3), the
-// 0-3 tail elements add sequentially — so the vector lane changes speed,
-// never bits: ICN_SIMD=scalar output is byte-identical to ICN_SIMD=avx2.
+// The hot kernel squared_euclidean is runtime-dispatched over a scalar and
+// an AVX2 lane (util/simd.h: cpuid probe at first use, ICN_SIMD override).
+// Both lanes accumulate in the SAME canonical 4-lane order — lane k sums
+// elements i == k (mod 4), lanes combine as (s0 + s2) + (s1 + s3), the 0-3
+// tail elements add sequentially — so the vector lane changes speed, never
+// bits: ICN_SIMD=scalar output is byte-identical to ICN_SIMD=avx2.
+// vector_sum keeps that order on one scalar lane.
 //
 // The x4 row-batched kernels compute one query row against four consecutive
 // matrix rows with four independent accumulator chains. Per output they run
@@ -35,8 +36,8 @@ namespace icn::ml {
 [[nodiscard]] double euclidean(std::span<const double> a,
                                std::span<const double> b);
 
-/// Sum of a vector in the canonical accumulation order — the dispatched
-/// building block of the forecast/linkage accumulation loops.
+/// Sum of a vector in the canonical accumulation order (the RCA row and
+/// service totals).
 [[nodiscard]] double vector_sum(std::span<const double> xs);
 
 namespace detail {
@@ -49,8 +50,6 @@ namespace detail {
                                               std::size_t n);
 [[nodiscard]] double squared_euclidean_avx2(const double* a, const double* b,
                                             std::size_t n);
-[[nodiscard]] double vector_sum_scalar(const double* xs, std::size_t n);
-[[nodiscard]] double vector_sum_avx2(const double* xs, std::size_t n);
 
 // Row-batched variants: distances from `a` to the four rows starting at `b`
 // with `stride` doubles between row starts. out[r] is byte-identical to the

@@ -1,43 +1,19 @@
 #include "ml/hungarian.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "util/error.h"
-#include "util/parallel.h"
 
 namespace icn::ml {
-namespace {
-
-/// Fixed chunk size of the parallel row/column scans. Small instances
-/// (cluster alignment, k ~ 10) fall below one chunk and run inline; the
-/// parallel path only engages on the large matrices where it pays.
-constexpr std::size_t kAssignGrain = 256;
-
-/// Winner of a reduced-cost column scan: smallest value, earliest column on
-/// ties — what the serial strict-< scan picks.
-struct MinColumn {
-  double delta = std::numeric_limits<double>::infinity();
-  std::size_t j1 = 0;
-};
-
-}  // namespace
 
 std::vector<std::size_t> hungarian_min_cost(const Matrix& cost) {
   const std::size_t n = cost.rows();
   ICN_REQUIRE(n >= 1 && cost.cols() == n, "hungarian: square matrix");
-  const auto& data = cost.data();
-  const int finite = icn::util::parallel_reduce(
-      std::size_t{0}, data.size(), std::size_t{4096}, 1,
-      [&](std::size_t lo, std::size_t hi) {
-        int ok = 1;
-        for (std::size_t i = lo; i < hi; ++i) {
-          ok = ok && std::isfinite(data[i]) ? 1 : 0;
-        }
-        return ok;
-      },
-      [](int a, int b) { return a && b ? 1 : 0; });
-  ICN_REQUIRE(finite != 0, "hungarian: finite costs");
+  for (const double c : cost.data()) {
+    ICN_REQUIRE(std::isfinite(c), "hungarian: finite costs");
+  }
   // Classic O(n^3) potentials formulation (1-indexed internal arrays).
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
@@ -48,26 +24,19 @@ std::vector<std::size_t> hungarian_min_cost(const Matrix& cost) {
   // cost(i,j) - u[i] - v[j] (every reduced-cost evaluation below already
   // subtracts both), which shifts rows/columns by constants and so preserves
   // the optimal assignments while starting the searches with a zero in every
-  // row and column. Each entry is an exact min over a fixed index order into
-  // its own slot, so the parallel scans are bit-identical to serial.
-  icn::util::parallel_for(
-      std::size_t{0}, n, kAssignGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          double m = cost(i, 0);
-          for (std::size_t j = 1; j < n; ++j) m = std::min(m, cost(i, j));
-          u[i + 1] = m;
-        }
-      });
-  icn::util::parallel_for(
-      std::size_t{0}, n, kAssignGrain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t j = lo; j < hi; ++j) {
-          double m = cost(0, j) - u[1];
-          for (std::size_t i = 1; i < n; ++i) {
-            m = std::min(m, cost(i, j) - u[i + 1]);
-          }
-          v[j + 1] = m;
-        }
-      });
+  // row and column.
+  for (std::size_t i = 0; i < n; ++i) {
+    double m = cost(i, 0);
+    for (std::size_t j = 1; j < n; ++j) m = std::min(m, cost(i, j));
+    u[i + 1] = m;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    double m = cost(0, j) - u[1];
+    for (std::size_t i = 1; i < n; ++i) {
+      m = std::min(m, cost(i, j) - u[i + 1]);
+    }
+    v[j + 1] = m;
+  }
   for (std::size_t i = 1; i <= n; ++i) {
     p[0] = i;
     std::size_t j0 = 0;
@@ -76,29 +45,21 @@ std::vector<std::size_t> hungarian_min_cost(const Matrix& cost) {
     do {
       used[j0] = true;
       const std::size_t i0 = p[j0];
-      // The O(N) hot scan of the augmenting search: chunks update disjoint
-      // minv/way slots and their delta winners fold in chunk order with
-      // strict <, reproducing the serial earliest-column tie-break.
-      const MinColumn mc = icn::util::parallel_reduce(
-          std::size_t{1}, n + 1, kAssignGrain, MinColumn{},
-          [&](std::size_t lo, std::size_t hi) {
-            MinColumn win;
-            for (std::size_t j = lo; j < hi; ++j) {
-              if (used[j]) continue;
-              const double cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
-              if (cur < minv[j]) {
-                minv[j] = cur;
-                way[j] = j0;
-              }
-              if (minv[j] < win.delta) {
-                win.delta = minv[j];
-                win.j1 = j;
-              }
-            }
-            return win;
-          },
-          [](MinColumn acc, MinColumn w) { return w.delta < acc.delta ? w : acc; });
-      const double delta = mc.delta;
+      // The reduced-cost scan: strict < keeps the earliest column on ties.
+      double delta = kInf;
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= n; ++j) {
+        if (used[j]) continue;
+        const double cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
+        if (cur < minv[j]) {
+          minv[j] = cur;
+          way[j] = j0;
+        }
+        if (minv[j] < delta) {
+          delta = minv[j];
+          j1 = j;
+        }
+      }
       for (std::size_t j = 0; j <= n; ++j) {
         if (used[j]) {
           u[p[j]] += delta;
@@ -107,7 +68,7 @@ std::vector<std::size_t> hungarian_min_cost(const Matrix& cost) {
           minv[j] -= delta;
         }
       }
-      j0 = mc.j1;
+      j0 = j1;
     } while (p[j0] != 0);
     do {
       const std::size_t j1 = way[j0];

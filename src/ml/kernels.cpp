@@ -14,23 +14,6 @@
 namespace icn::ml {
 namespace detail {
 
-// ---- RSCA transform (element-wise) --------------------------------------
-//
-// Every output element is a fixed IEEE expression of (t[j], s[j], total), so
-// the scalar and vector kernels agree bit-for-bit by construction; the lane
-// suites in tests/ml assert it anyway. The `s > 0 ? r : 0.0` select is an
-// AND with the comparison mask: the masked-out value is +0.0, exactly the
-// scalar literal.
-
-void rsca_row_scalar(const double* t, const double* s, double total,
-                     std::size_t n, double* out) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const double u = total * s[j];
-    const double r = (t[j] - u) / (t[j] + u);
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
-
 // ---- silhouette / Dunn segment kernels ----------------------------------
 //
 // labeled_sums: per cluster c, the canonical 4-lane order over positions —
@@ -104,29 +87,6 @@ void labeled_extrema_scalar(const double* d, const int* labels, int own,
 }
 
 #if defined(ICN_ML_X86)
-
-__attribute__((target("avx2"))) void rsca_row_avx2(const double* t,
-                                                   const double* s,
-                                                   double total,
-                                                   std::size_t n,
-                                                   double* out) {
-  const __m256d vt = _mm256_set1_pd(total);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d sv = _mm256_loadu_pd(s + j);
-    const __m256d tv = _mm256_loadu_pd(t + j);
-    const __m256d u = _mm256_mul_pd(vt, sv);
-    const __m256d r = _mm256_div_pd(_mm256_sub_pd(tv, u), _mm256_add_pd(tv, u));
-    _mm256_storeu_pd(out + j,
-                     _mm256_and_pd(r, _mm256_cmp_pd(sv, zero, _CMP_GT_OQ)));
-  }
-  for (; j < n; ++j) {
-    const double u = total * s[j];
-    const double r = (t[j] - u) / (t[j] + u);
-    out[j] = s[j] > 0.0 ? r : 0.0;
-  }
-}
 
 __attribute__((target("avx2"))) void labeled_sums_avx2(const double* d,
                                                        const int* labels,
@@ -205,10 +165,6 @@ __attribute__((target("avx2"))) void labeled_extrema_avx2(
 
 // Non-x86 builds: the avx2 entries alias the scalar kernels — dispatch still
 // works, and ICN_SIMD=avx2 is rejected by util::simd_level().
-void rsca_row_avx2(const double* t, const double* s, double total,
-                   std::size_t n, double* out) {
-  rsca_row_scalar(t, s, total, n, out);
-}
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,
                        std::size_t k, double* sums) {
   labeled_sums_scalar(d, labels, n, k, sums);
@@ -223,13 +179,17 @@ void labeled_extrema_avx2(const double* d, const int* labels, int own,
 
 }  // namespace detail
 
+// Every output element is a fixed IEEE expression of (t[j], s[j], total);
+// this file's -ffp-contract=off keeps `t - total*s` from fusing into an FMA.
 void rsca_row(std::span<const double> traffic, std::span<const double> shares,
               double row_total, std::span<double> out) {
   ICN_REQUIRE(traffic.size() == shares.size() && traffic.size() == out.size(),
               "rsca_row extents");
-  static const auto kernel = icn::util::pick_kernel(detail::rsca_row_scalar,
-                                                    detail::rsca_row_avx2);
-  kernel(traffic.data(), shares.data(), row_total, traffic.size(), out.data());
+  for (std::size_t j = 0; j < traffic.size(); ++j) {
+    const double u = row_total * shares[j];
+    const double r = (traffic[j] - u) / (traffic[j] + u);
+    out[j] = shares[j] > 0.0 ? r : 0.0;
+  }
 }
 
 void labeled_sums(std::span<const double> d, std::span<const int> labels,

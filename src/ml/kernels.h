@@ -1,24 +1,20 @@
-// Runtime-dispatched element/row kernels for the RSCA transform and the
-// silhouette/Dunn inner loops.
-//
-// These extend the dispatch contract of ml/distance.h to the remaining
-// analysis hot paths:
+// Row kernels for the RSCA transform and the silhouette/Dunn inner loops.
 //
 //   - rsca_row: the fused RSCA transform. With row total T and baseline
 //     share s_j, RCA = (t_j/T)/s_j and RSCA = (RCA-1)/(RCA+1) algebraically
 //     collapse to (t_j - T*s_j) / (t_j + T*s_j) — one divide per element
 //     instead of three. Services unseen in the baseline (s_j <= 0) map to
-//     0.0 (the neutral RCA = 1 of the unfused path).
+//     0.0 (the neutral RCA = 1 of the unfused path). One scalar loop: the
+//     paper-scale study spends ~2 ms of its ~2 s analysis here.
 //   - labeled_sums: per-cluster sums of a distance segment, the silhouette
 //     a/b building block.
 //   - labeled_extrema: masked min/max of a distance segment split by
 //     same-label vs cross-label, the Dunn building block.
 //
-// Determinism: rsca_row is purely element-wise (every output element is a
-// fixed expression of the corresponding inputs), so both lanes produce
-// identical bits by IEEE semantics alone. labeled_sums accumulates
-// per cluster in the canonical 4-lane order of ml/distance.h, with the
-// conditional add defined as `acc += (label == c ? d : 0.0)` per lane slot.
+// The labeled kernels run hot in the k sweep, so they keep the scalar and
+// AVX2 lanes of ml/distance.h. labeled_sums accumulates per cluster in the
+// canonical 4-lane order of ml/distance.h, with the conditional add defined
+// as `acc += (label == c ? d : 0.0)` per lane slot.
 // labeled_extrema uses `acc = (acc < x) ? x : acc` / `(x < acc) ? x : acc`
 // per lane slot (NaN keeps the accumulator, like the scalar comparison) and
 // combines lanes as (l0 op l2) op (l1 op l3). The scalar and AVX2 lanes are
@@ -52,11 +48,6 @@ namespace detail {
 // Per-level kernels, exposed for the bit-parity suites and SIMD benches. The
 // avx2 kernels must only run on AVX2 hardware; on non-x86 builds they alias
 // the scalar kernels.
-void rsca_row_scalar(const double* t, const double* s, double total,
-                     std::size_t n, double* out);
-void rsca_row_avx2(const double* t, const double* s, double total,
-                   std::size_t n, double* out);
-
 void labeled_sums_scalar(const double* d, const int* labels, std::size_t n,
                          std::size_t k, double* sums);
 void labeled_sums_avx2(const double* d, const int* labels, std::size_t n,

@@ -535,37 +535,23 @@ Dendrogram naive_agglomerative(const Matrix& x, Linkage linkage) {
   std::vector<bool> alive(n, true);
   std::vector<Dendrogram::RawMerge> raw;
   raw.reserve(n - 1);
-  // Winner of the naive O(N^2) argmin scan: smallest distance, row-major
-  // earliest pair on ties — exactly what the serial strict-< scan picks.
-  struct BestPair {
-    double d = std::numeric_limits<double>::infinity();
-    std::size_t i = 0, j = 0;
-  };
   for (std::size_t step = 0; step + 1 < n; ++step) {
-    // Chunks scan disjoint row ranges; partials fold in chunk order with
-    // strict <, so earlier rows win ties and the result matches the serial
-    // scan for every thread count and grain.
-    const BestPair win = icn::util::parallel_reduce(
-        std::size_t{0}, n, kScanGrain, BestPair{},
-        [&](std::size_t lo, std::size_t hi) {
-          BestPair p;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (!alive[i]) continue;
-            for (std::size_t j = i + 1; j < n; ++j) {
-              if (!alive[j]) continue;
-              const double d = dist.get(i, j);
-              if (d < p.d) {
-                p.d = d;
-                p.i = i;
-                p.j = j;
-              }
-            }
-          }
-          return p;
-        },
-        [](BestPair acc, BestPair p) { return p.d < acc.d ? p : acc; });
-    const std::size_t ba = win.i, bb = win.j;
-    const double best = win.d;
+    // The naive O(N^2) argmin scan: strict < keeps the row-major earliest
+    // pair on ties.
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t ba = 0, bb = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive[i]) continue;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (!alive[j]) continue;
+        const double d = dist.get(i, j);
+        if (d < best) {
+          best = d;
+          ba = i;
+          bb = j;
+        }
+      }
+    }
     raw.push_back(Dendrogram::RawMerge{rep[ba], rep[bb],
                                        squared ? std::sqrt(best) : best});
     for (std::size_t k = 0; k < n; ++k) {

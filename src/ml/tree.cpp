@@ -203,7 +203,6 @@ void DecisionTree::fit(const FeatureRanks& ranks, std::span<const int> y,
   nodes_.clear();
   num_classes_ = num_classes;
   num_features_ = ranks.cols();
-  importance_.assign(num_features_, 0.0);
 
   std::vector<std::uint32_t> idx;
   if (sample_idx.empty()) {
@@ -282,8 +281,6 @@ int DecisionTree::build(const FeatureRanks& ranks, std::span<const int> y,
       });
   const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
   if (mid == 0 || mid == n) return node_id;  // numerical edge: no split
-
-  importance_[best.feature] += node_n * best.gain;
 
   const int left_id =
       build(ranks, y, params, rng, idx.first(mid), depth + 1, scratch);

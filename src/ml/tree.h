@@ -102,17 +102,13 @@ class DecisionTree {
   [[nodiscard]] const std::vector<double>& predict_proba(
       std::span<const double> x) const;
 
-  /// Total Gini-impurity decrease contributed by each feature (unnormalized);
-  /// size = number of training features.
-  [[nodiscard]] const std::vector<double>& impurity_importance() const {
-    return importance_;
-  }
+  /// Number of features (columns) the tree was fitted on.
+  [[nodiscard]] std::size_t num_features() const { return num_features_; }
 
  private:
   std::vector<TreeNode> nodes_;
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
-  std::vector<double> importance_;
 
   /// The split search's buffers, sized by fit() for the root node.
   struct SplitScratch;

@@ -420,18 +420,11 @@ std::vector<double> conditional_expectation_impl(
   return out;
 }
 
-/// Features the tree was fitted on: its importance vector has one slot each.
-/// The walk reads x[f] and writes phi row f for every split feature f, so x
-/// must be exactly this wide.
-std::size_t training_width(const DecisionTree& tree) {
-  return tree.impurity_importance().size();
-}
-
 }  // namespace
 
 Matrix tree_shap(const DecisionTree& tree, std::span<const double> x) {
   ICN_REQUIRE(tree.is_fitted(), "tree_shap on unfitted tree");
-  ICN_REQUIRE(x.size() == training_width(tree), "tree_shap feature count");
+  ICN_REQUIRE(x.size() == tree.num_features(), "tree_shap feature count");
   Matrix phi(x.size(), static_cast<std::size_t>(tree.num_classes()));
   TreeWalk().run(tree, x, phi, nullptr);
   return phi;
@@ -446,7 +439,7 @@ std::vector<double> tree_base_values(const DecisionTree& tree) {
 
 Matrix forest_shap(const RandomForest& forest, std::span<const double> x) {
   ICN_REQUIRE(forest.is_fitted(), "forest_shap on unfitted forest");
-  ICN_REQUIRE(x.size() == training_width(forest.trees().front()),
+  ICN_REQUIRE(x.size() == forest.trees().front().num_features(),
               "forest_shap feature count");
   Matrix out(x.size(), static_cast<std::size_t>(forest.num_classes()));
   explain_rows(forest, x.data(), x.size(), 0, 1, &out);
@@ -456,7 +449,7 @@ Matrix forest_shap(const RandomForest& forest, std::span<const double> x) {
 std::vector<Matrix> forest_shap_batch(const RandomForest& forest,
                                       const Matrix& x) {
   ICN_REQUIRE(forest.is_fitted(), "forest_shap_batch on unfitted forest");
-  ICN_REQUIRE(x.cols() == training_width(forest.trees().front()),
+  ICN_REQUIRE(x.cols() == forest.trees().front().num_features(),
               "forest_shap_batch feature count");
   std::vector<Matrix> out(
       x.rows(),
@@ -489,7 +482,7 @@ std::vector<double> tree_conditional_expectation(
     const DecisionTree& tree, std::span<const double> x,
     const std::vector<bool>& present) {
   ICN_REQUIRE(tree.is_fitted(), "conditional expectation on unfitted tree");
-  ICN_REQUIRE(x.size() == training_width(tree),
+  ICN_REQUIRE(x.size() == tree.num_features(),
               "conditional expectation feature count");
   ICN_REQUIRE(present.size() == x.size(), "present mask size");
   return conditional_expectation_impl(tree.nodes(), 0, x, present);

@@ -13,6 +13,12 @@ namespace {
 
 using icn::util::Rng;
 
+/// Fraction of indoor antennas on 5G NR: scarce at the paper's stage of the
+/// French roll-out. Outdoor macros carry more NR (early 5G coverage is
+/// outside-in).
+constexpr double kIndoorNrFraction = 0.04;
+constexpr double kOutdoorNrFraction = 0.25;
+
 /// Mean indoor antennas per site for each environment; chosen so the full
 /// population groups into >1,000 sites, as the paper reports.
 double antennas_per_site(Environment e) {
@@ -125,12 +131,6 @@ std::string upper_city(City c) {
 Topology Topology::generate(const TopologyParams& params) {
   ICN_REQUIRE(params.scale > 0.0, "topology scale > 0");
   ICN_REQUIRE(params.outdoor_ratio >= 0.0, "topology outdoor ratio");
-  ICN_REQUIRE(params.indoor_nr_fraction >= 0.0 &&
-                  params.indoor_nr_fraction <= 1.0,
-              "indoor NR fraction");
-  ICN_REQUIRE(params.outdoor_nr_fraction >= 0.0 &&
-                  params.outdoor_nr_fraction <= 1.0,
-              "outdoor NR fraction");
   Topology topo;
   Rng rng(icn::util::derive_seed(params.seed, 0x7069'70CFULL));
   // Radio-technology draws use their own substream so enabling/disabling NR
@@ -172,7 +172,7 @@ Topology Topology::generate(const TopologyParams& params) {
         ant.city = city;
         ant.site_id = site_id;
         ant.indoor = true;
-        ant.tech = tech_rng.bernoulli(params.indoor_nr_fraction)
+        ant.tech = tech_rng.bernoulli(kIndoorNrFraction)
                        ? RadioTech::kNr
                        : RadioTech::kLte;
         // Antennas sit within ~100 m of the site reference point.
@@ -203,7 +203,7 @@ Topology Topology::generate(const TopologyParams& params) {
       ant.city = site.city;
       ant.site_id = site.id;
       ant.indoor = false;
-      ant.tech = tech_rng.bernoulli(params.outdoor_nr_fraction)
+      ant.tech = tech_rng.bernoulli(kOutdoorNrFraction)
                      ? RadioTech::kNr
                      : RadioTech::kLte;
       // Within ~1 km: 0.009 degrees of latitude ~ 1 km.

@@ -59,11 +59,6 @@ struct TopologyParams {
   /// indoor antenna's site; the paper observes ~22,000 outdoor antennas for
   /// 4,762 indoor ones (ratio ~4.6).
   double outdoor_ratio = 4.62;
-  /// Fraction of *indoor* antennas on 5G NR: scarce at the paper's stage of
-  /// the French roll-out. Outdoor macros carry more NR (early 5G coverage
-  /// is outside-in).
-  double indoor_nr_fraction = 0.04;
-  double outdoor_nr_fraction = 0.25;
 };
 
 /// The generated nationwide topology.

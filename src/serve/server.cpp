@@ -20,14 +20,13 @@ namespace {
                            std::strerror(errno));
 }
 
-/// Parses a positive integer env var; throws EnvConfigError on garbage.
+/// Parses a positive integer env var, ignoring leading and trailing blanks;
+/// throws EnvConfigError on garbage, a blank inside the number included.
 std::uint64_t parse_env_u64(const char* name, const char* value,
                             std::uint64_t min, std::uint64_t max) {
-  std::string v;
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p == ' ' || *p == '\t') continue;
-    v += *p;
-  }
+  std::string v(value);
+  v.erase(0, v.find_first_not_of(" \t"));
+  v.erase(v.find_last_not_of(" \t") + 1);
   if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
     throw icn::util::EnvConfigError(
         std::string(name) + "=\"" + value +

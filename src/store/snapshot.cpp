@@ -410,27 +410,11 @@ MappedSnapshot::MappedSnapshot(const std::string& path, Vfs* vfs) {
   map_ = mapping.region.data;
   size_ = mapping.region.size;
   mapping.release();
-  build_section_index();
-}
-
-void MappedSnapshot::build_section_index() {
-  first_of_type_.clear();
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const SectionType type = sections_[i].type;
-    bool seen = false;
-    for (const auto& [t, _] : first_of_type_) {
-      if (t == type) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) first_of_type_.emplace_back(type, i);
-  }
 }
 
 const SectionView* MappedSnapshot::find_section(SectionType type) const {
-  for (const auto& [t, i] : first_of_type_) {
-    if (t == type) return &sections_[i];
+  for (const auto& s : sections_) {
+    if (s.type == type) return &s;
   }
   return nullptr;
 }
@@ -445,12 +429,10 @@ MappedSnapshot::MappedSnapshot(MappedSnapshot&& other) noexcept
     : vfs_(other.vfs_),
       map_(other.map_),
       size_(other.size_),
-      sections_(std::move(other.sections_)),
-      first_of_type_(std::move(other.first_of_type_)) {
+      sections_(std::move(other.sections_)) {
   other.map_ = nullptr;
   other.size_ = 0;
   other.sections_.clear();
-  other.first_of_type_.clear();
 }
 
 MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
@@ -462,11 +444,9 @@ MappedSnapshot& MappedSnapshot::operator=(MappedSnapshot&& other) noexcept {
     map_ = other.map_;
     size_ = other.size_;
     sections_ = std::move(other.sections_);
-    first_of_type_ = std::move(other.first_of_type_);
     other.map_ = nullptr;
     other.size_ = 0;
     other.sections_.clear();
-    other.first_of_type_.clear();
   }
   return *this;
 }
@@ -577,14 +557,6 @@ RecoveryResult recover_snapshot(const std::string& path, Vfs* vfs) {
     v.truncate(path, result.valid_bytes);
   }
   return result;
-}
-
-std::vector<SectionInfo> scan_section_index(const std::string& path,
-                                            Vfs* vfs) {
-  Mapping mapping(path, vfs_or_default(vfs));
-  check_header(path, mapping.data(), mapping.size());
-  Scan scan = scan_sections(mapping.data(), mapping.size());
-  return std::move(scan.index);
 }
 
 ScanReport scan_snapshot(const std::string& path, Vfs* vfs) {

@@ -241,10 +241,9 @@ class MappedSnapshot {
     return sections_;
   }
 
-  /// First section of `type`, or nullptr when the snapshot has none. O(1):
-  /// the per-type index is built once at map time, so per-query accessors
-  /// (and the typed views below) do not re-scan the section list on every
-  /// access. The pointer is valid for the lifetime of this object.
+  /// First section of `type`, or nullptr when the snapshot has none. A scan
+  /// of sections(): the typed views below run a few times per load, never
+  /// per query. The pointer is valid for the lifetime of this object.
   [[nodiscard]] const SectionView* find_section(SectionType type) const;
 
   /// First kMatrix section, if any. Throws SnapshotError on a malformed
@@ -266,16 +265,10 @@ class MappedSnapshot {
   [[nodiscard]] std::size_t file_size() const { return size_; }
 
  private:
-  void build_section_index();
-
   Vfs* vfs_ = nullptr;  ///< Owner of the mapping below.
   void* map_ = nullptr;
   std::size_t size_ = 0;
   std::vector<SectionView> sections_;
-  /// (type, first index into sections_) pairs, one per distinct type, in
-  /// first-appearance order. Snapshots carry a handful of distinct types, so
-  /// a flat scan of this list beats any hashing.
-  std::vector<std::pair<SectionType, std::size_t>> first_of_type_;
 };
 
 /// Result of a crash-recovery scan.
@@ -294,7 +287,7 @@ struct RecoveryResult {
 /// icn::util::IoError when the file is missing or empty.
 RecoveryResult recover_snapshot(const std::string& path, Vfs* vfs = nullptr);
 
-/// File-offset index entry for one valid section (see scan_section_index).
+/// File-offset index entry for one valid section (see scan_snapshot).
 struct SectionInfo {
   SectionType type{};
   std::uint64_t header_offset = 0;   ///< Byte offset of the section header.
@@ -302,16 +295,12 @@ struct SectionInfo {
   std::uint64_t payload_size = 0;    ///< Unpadded payload bytes.
 };
 
-/// Lists the valid-prefix sections of `path` with their byte offsets, without
-/// modifying the file. Intended for tooling that must address raw file bytes
-/// (e.g. fault injection flipping a bit inside a chosen section); regular
-/// readers should use MappedSnapshot.
-[[nodiscard]] std::vector<SectionInfo> scan_section_index(
-    const std::string& path, Vfs* vfs = nullptr);
-
 /// Non-destructive integrity report over a snapshot file (tools/icn_fsck).
 /// Unlike recover_snapshot it never modifies the file; unlike MappedSnapshot
-/// it does not throw on a torn tail — the report carries the damage.
+/// it does not throw on a torn tail — the report carries the damage. Its
+/// section list also serves tooling that must address raw file bytes (fault
+/// injection flipping a bit inside a chosen section, the supervisor
+/// truncating seal-time sections); regular readers use MappedSnapshot.
 struct ScanReport {
   /// Valid-prefix sections in file order (all CRCs verified).
   std::vector<SectionInfo> sections;

@@ -50,7 +50,7 @@ namespace {
 void truncate_seal_sections(const std::string& path, store::Vfs* vfs) {
   std::uint64_t seal_at = 0;
   bool found = false;
-  for (const auto& section : store::scan_section_index(path, vfs)) {
+  for (const auto& section : store::scan_snapshot(path, vfs).sections) {
     if (section.type == store::SectionType::kCoverage ||
         section.type == store::SectionType::kQuarantine) {
       seal_at = section.header_offset;

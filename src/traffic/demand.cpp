@@ -20,6 +20,11 @@ constexpr std::uint64_t kOutdoorStream = 0x0D00'0002ULL;
 /// Log-normal sigma of the per-antenna total volume.
 constexpr double kVolumeSigma = 0.9;
 
+/// Dirichlet concentration of outdoor antennas' share noise. Lower than the
+/// indoor DemandParams::concentration: outdoor BSs serve broad populations,
+/// and their mixes already blend toward the global average.
+constexpr double kOutdoorConcentration = 700.0;
+
 /// Draws a share vector ~ Dirichlet(concentration * expected).
 std::vector<double> noisy_shares(std::span<const double> expected,
                                  double concentration, Rng& rng) {
@@ -67,8 +72,6 @@ DemandModel::DemandModel(const net::Topology& topology,
                          const DemandParams& params)
     : topology_(&topology), archetypes_(&archetypes), params_(params) {
   ICN_REQUIRE(params.concentration > 0.0, "demand concentration");
-  ICN_REQUIRE(params.outdoor_concentration > 0.0,
-              "outdoor demand concentration");
   const auto& indoor = topology.indoor();
   const std::size_t n = indoor.size();
   const std::size_t m = archetypes.catalog().size();
@@ -182,8 +185,7 @@ DemandModel::DemandModel(const net::Topology& topology,
       blended_total += blended[j];
     }
     for (std::size_t j = 0; j < m; ++j) blended[j] /= blended_total;
-    const auto shares =
-        noisy_shares(blended, params.outdoor_concentration, rng);
+    const auto shares = noisy_shares(blended, kOutdoorConcentration, rng);
     for (std::size_t j = 0; j < m; ++j) {
       outdoor_traffic_(i, j) = total_mb * shares[j];
     }

@@ -28,9 +28,6 @@ struct DemandParams {
   /// Dirichlet concentration of per-antenna share noise around the archetype
   /// mix; higher = antennas of an archetype look more alike.
   double concentration = 2200.0;
-  /// Same for outdoor antennas (outdoor BSs serve broad populations, so
-  /// their mixes are tighter around the global average).
-  double outdoor_concentration = 700.0;
 };
 
 /// Generated demand profile of one indoor antenna.

@@ -270,19 +270,6 @@ void ThreadPool::run_chunks(std::size_t num_chunks,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-std::size_t adaptive_grain(std::size_t begin, std::size_t end,
-                           std::size_t min_grain) {
-  ICN_REQUIRE(min_grain > 0, "adaptive_grain min_grain must be positive");
-  ICN_REQUIRE(begin <= end, "adaptive_grain range");
-  const std::size_t n = end - begin;
-  if (n == 0) return min_grain;
-  // Enough chunks per lane that stealing can even out a skewed workload,
-  // few enough that per-chunk dispatch stays negligible.
-  constexpr std::size_t kChunksPerLane = 16;
-  const std::size_t target = ThreadPool::active().num_threads() * kChunksPerLane;
-  return std::max(min_grain, (n + target - 1) / target);
-}
-
 namespace detail {
 
 void run_chunked(

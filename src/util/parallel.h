@@ -154,18 +154,6 @@ void run_chunked(
 
 }  // namespace detail
 
-/// Picks a grain for [begin, end) from the problem size and the active pool's
-/// lane count, aiming for enough chunks per lane that stealing can rebalance
-/// a skewed workload, and never below `min_grain`.
-///
-/// ONLY for disjoint-write parallel_for loops: their outputs are bit-identical
-/// under ANY chunk decomposition, so a thread-count-dependent grain is safe.
-/// Order-sensitive parallel_reduce folds must keep an explicit fixed grain —
-/// their result depends on the chunk boundaries.
-/// Requires min_grain > 0 and begin <= end.
-[[nodiscard]] std::size_t adaptive_grain(std::size_t begin, std::size_t end,
-                                         std::size_t min_grain = 1);
-
 /// Runs body(lo, hi) over consecutive sub-ranges of [begin, end) of at most
 /// `grain` indices each. The body must only write state owned by its range;
 /// under that contract results are bit-identical to the serial loop.

@@ -34,7 +34,6 @@ struct Builder {
   std::vector<TreeNode> nodes_;
   int num_classes_ = 0;
   std::size_t num_features_ = 0;
-  std::vector<double> importance_;
 
   int build(const Matrix& x, std::span<const int> y,
             const DecisionTree::Params& params, icn::util::Rng& rng,
@@ -126,8 +125,6 @@ struct Builder {
         [&](std::size_t i) { return x(i, best_feature) <= best_threshold; });
     const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
     if (mid == begin || mid == end) return node_id;  // numerical edge
-
-    importance_[best_feature] += node_n * best_gain;
 
     const int left_id = build(x, y, params, rng, idx, begin, mid, depth + 1);
     const int right_id = build(x, y, params, rng, idx, mid, end, depth + 1);
@@ -264,8 +261,7 @@ Tree fit_tree(const Matrix& x, std::span<const int> y, int num_classes,
               const DecisionTree::Params& params, icn::util::Rng& rng,
               std::span<const std::size_t> sample_idx) {
   ICN_REQUIRE(x.rows() == y.size() && x.rows() > 0, "reference fit shape");
-  Builder builder{{}, num_classes, x.cols(),
-                  std::vector<double>(x.cols(), 0.0)};
+  Builder builder{{}, num_classes, x.cols()};
   std::vector<std::size_t> idx;
   if (sample_idx.empty()) {
     idx.resize(x.rows());
@@ -274,7 +270,7 @@ Tree fit_tree(const Matrix& x, std::span<const int> y, int num_classes,
     idx.assign(sample_idx.begin(), sample_idx.end());
   }
   builder.build(x, y, params, rng, idx, 0, idx.size(), 0);
-  return Tree{std::move(builder.nodes_), std::move(builder.importance_)};
+  return Tree{std::move(builder.nodes_)};
 }
 
 Forest fit_forest(const Matrix& x, std::span<const int> y, int num_classes,

@@ -20,7 +20,6 @@ namespace icn::ml::reference {
 /// A tree grown by the reference builder.
 struct Tree {
   std::vector<TreeNode> nodes;
-  std::vector<double> importance;  ///< Unnormalized impurity decrease.
 };
 
 /// CART fit that gathers (value, label) pairs through the matrix and sorts

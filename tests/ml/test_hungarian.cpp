@@ -62,6 +62,27 @@ TEST(HungarianTest, MatchesBruteForceOnRandomMatrices) {
   }
 }
 
+TEST(HungarianTest, RecoversPlantedPermutationAtN300) {
+  // Cost 0 on a planted permutation and [1, 2) everywhere else: any other
+  // permutation differs from the plant on at least two rows, so it costs
+  // >= 2 and the plant is the unique optimum. n = 300 is far past the k = 9
+  // label alignment the analysis runs.
+  constexpr std::size_t kN = 300;
+  icn::util::Rng rng(2024);
+  std::vector<std::size_t> planted(kN);
+  std::iota(planted.begin(), planted.end(), std::size_t{0});
+  for (std::size_t i = kN - 1; i > 0; --i) {
+    std::swap(planted[i], planted[rng.uniform_index(i + 1)]);
+  }
+  Matrix cost(kN, kN);
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t c = 0; c < kN; ++c) {
+      cost(r, c) = c == planted[r] ? 0.0 : rng.uniform(1.0, 2.0);
+    }
+  }
+  EXPECT_EQ(hungarian_min_cost(cost), planted);
+}
+
 TEST(HungarianTest, RejectsNonSquareAndNonFinite) {
   Matrix rect(2, 3);
   EXPECT_THROW(hungarian_min_cost(rect), icn::util::PreconditionError);

@@ -1,9 +1,8 @@
-// Bit-parity suites for the dispatched analysis kernels: the fused RSCA
-// transform, the silhouette/Dunn segment kernels, the x4 row-batched
-// distance kernel, and the tiled condensed-distance builder (byte-identical
-// at every tile size and thread count). Mirrors
-// tests/ml/test_simd_dispatch.cpp: lengths 0..67 sweep every tail path, plus
-// unaligned and NaN/Inf inputs.
+// Bit-parity suites for the dispatched analysis kernels: the silhouette/Dunn
+// segment kernels, the x4 row-batched distance kernel, and the tiled
+// condensed-distance builder (byte-identical at every tile size and thread
+// count). Mirrors tests/ml/test_simd_dispatch.cpp: lengths 0..67 sweep every
+// tail path, plus unaligned and NaN/Inf inputs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -36,14 +35,6 @@ std::vector<SimdLevel> runnable_levels() {
   return levels;
 }
 
-void run_rsca_row(SimdLevel level, const double* t, const double* s,
-                  double total, std::size_t n, double* out) {
-  if (level == SimdLevel::kAvx2) {
-    return detail::rsca_row_avx2(t, s, total, n, out);
-  }
-  detail::rsca_row_scalar(t, s, total, n, out);
-}
-
 void run_labeled_sums(SimdLevel level, const double* d, const int* labels,
                       std::size_t n, std::size_t k, double* sums) {
   if (level == SimdLevel::kAvx2) {
@@ -66,65 +57,6 @@ void run_x4(SimdLevel level, const double* a, const double* b,
     return detail::squared_euclidean_x4_avx2(a, b, stride, n, out);
   }
   detail::squared_euclidean_x4_scalar(a, b, stride, n, out);
-}
-
-// ---------------------------------------------------------------------------
-// RSCA kernels
-
-TEST(KernelsDispatchTest, RscaRowAllLanesBitExactOverEveryShortLength) {
-  icn::util::Rng rng(811);
-  const auto levels = runnable_levels();
-  for (std::size_t n = 0; n <= 67; ++n) {
-    std::vector<double> t(n), s(n), ref(n), got(n);
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Zero traffic cells and non-positive shares exercise both select
-      // branches; magnitudes span a wide range.
-      t[i] = (i % 5 == 0) ? 0.0
-                          : std::abs(rng.normal()) *
-                                std::pow(10.0, rng.uniform(-6.0, 6.0));
-      s[i] = (i % 7 == 0) ? 0.0 : std::abs(rng.normal());
-      if (i % 11 == 0) s[i] = -s[i];
-      total += t[i];
-    }
-    total = std::max(total, 1e-9);
-    detail::rsca_row_scalar(t.data(), s.data(), total, n, ref.data());
-    for (const SimdLevel level : levels) {
-      run_rsca_row(level, t.data(), s.data(), total, n, got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(bits(ref[i]), bits(got[i]))
-            << "rsca_row level " << icn::util::simd_level_name(level)
-            << " n " << n << " i " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelsDispatchTest, RscaRowUnalignedAndSpecialValues) {
-  icn::util::Rng rng(815);
-  constexpr std::size_t kPad = 8;
-  constexpr std::size_t kLen = 61;
-  std::vector<double> buf_t(kPad + kLen), buf_s(kPad + kLen),
-      ref(kLen), got(kLen);
-  for (auto& x : buf_t) x = std::abs(rng.normal()) * 1e3;
-  for (auto& x : buf_s) x = std::abs(rng.normal());
-  buf_s[kPad + 5] = kNan;   // NaN share: s > 0 is false -> 0.0 on all lanes
-  buf_s[kPad + 9] = 0.0;
-  buf_t[kPad + 17] = kInf;
-  const auto levels = runnable_levels();
-  for (std::size_t off = 0; off < kPad; ++off) {
-    const double* t = buf_t.data() + off;
-    const double* s = buf_s.data() + off;
-    detail::rsca_row_scalar(t, s, 7.25, kLen, ref.data());
-    for (const SimdLevel level : levels) {
-      run_rsca_row(level, t, s, 7.25, kLen, got.data());
-      for (std::size_t i = 0; i < kLen; ++i) {
-        ASSERT_EQ(bits(ref[i]), bits(got[i]))
-            << "offset " << off << " level "
-            << icn::util::simd_level_name(level) << " i " << i;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

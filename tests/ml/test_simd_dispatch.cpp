@@ -39,11 +39,6 @@ double run_squared_euclidean(SimdLevel level, const double* a, const double* b,
                                    : detail::squared_euclidean_scalar(a, b, n);
 }
 
-double run_vector_sum(SimdLevel level, const double* xs, std::size_t n) {
-  return level == SimdLevel::kAvx2 ? detail::vector_sum_avx2(xs, n)
-                                   : detail::vector_sum_scalar(xs, n);
-}
-
 TEST(SimdDispatchTest, AllLanesBitExactOverEveryShortLength) {
   // Every length 0..67 hits all tail paths of the 4-wide loops; values
   // span many orders of magnitude so a reordered accumulation cannot hide in
@@ -58,15 +53,11 @@ TEST(SimdDispatchTest, AllLanesBitExactOverEveryShortLength) {
       b[i] = rng.normal() * scale;
     }
     const double ref_d = detail::squared_euclidean_scalar(a.data(), b.data(), n);
-    const double ref_s = detail::vector_sum_scalar(a.data(), n);
     for (const SimdLevel level : levels) {
       EXPECT_EQ(bits(ref_d), bits(run_squared_euclidean(level, a.data(),
                                                         b.data(), n)))
           << "squared_euclidean level " << icn::util::simd_level_name(level)
           << " n " << n;
-      EXPECT_EQ(bits(ref_s), bits(run_vector_sum(level, a.data(), n)))
-          << "vector_sum level " << icn::util::simd_level_name(level) << " n "
-          << n;
     }
   }
 }
@@ -113,12 +104,9 @@ TEST(SimdDispatchTest, NanAndInfPropagateIdentically) {
     std::vector<double> b(a.size(), 1.5);
     const double ref_d =
         detail::squared_euclidean_scalar(a.data(), b.data(), a.size());
-    const double ref_s = detail::vector_sum_scalar(a.data(), a.size());
     for (const SimdLevel level : levels) {
       EXPECT_EQ(bits(ref_d), bits(run_squared_euclidean(level, a.data(),
                                                         b.data(), a.size())))
-          << "level " << icn::util::simd_level_name(level);
-      EXPECT_EQ(bits(ref_s), bits(run_vector_sum(level, a.data(), a.size())))
           << "level " << icn::util::simd_level_name(level);
     }
   }
@@ -137,8 +125,6 @@ TEST(SimdDispatchTest, PublicEntryPointsMatchScalarKernelBitForBit) {
     }
     EXPECT_EQ(bits(squared_euclidean(a, b)),
               bits(detail::squared_euclidean_scalar(a.data(), b.data(), n)));
-    EXPECT_EQ(bits(vector_sum(a)),
-              bits(detail::vector_sum_scalar(a.data(), n)));
   }
 }
 

@@ -144,21 +144,6 @@ TEST(DecisionTreeTest, BootstrapSampleIndicesUsed) {
   EXPECT_EQ(predicted_class(tree, std::vector<double>{10.5}), 0);
 }
 
-TEST(DecisionTreeTest, ImportanceConcentratesOnInformativeFeature) {
-  // Feature 1 is pure noise; feature 0 fully determines the label.
-  icn::util::Rng rng(19);
-  Matrix x(300, 2);
-  std::vector<int> y(300);
-  for (std::size_t i = 0; i < 300; ++i) {
-    x(i, 0) = rng.uniform(-1.0, 1.0);
-    x(i, 1) = rng.uniform(-1.0, 1.0);
-    y[i] = x(i, 0) > 0.2 ? 1 : 0;
-  }
-  const auto tree = fit_tree(x, y, 2);
-  const auto& imp = tree.impurity_importance();
-  EXPECT_GT(imp[0], imp[1] * 10.0);
-}
-
 TEST(DecisionTreeTest, InputValidation) {
   DecisionTree tree;
   icn::util::Rng rng(1);
@@ -232,8 +217,8 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(DecisionTreeTest, MatchesReferenceBuilderBitForBit) {
   // The rank-keyed radix builder must grow exactly the tree the per-node-sort
-  // reference builder grows: same splits, thresholds, covers, values and
-  // importances, and the same rng draws.
+  // reference builder grows: same splits, thresholds, covers and values, and
+  // the same rng draws.
   std::vector<int> y;
   const Matrix x = parity_data(&y);
   icn::util::Rng draw(31);
@@ -271,7 +256,6 @@ TEST(DecisionTreeTest, MatchesReferenceBuilderBitForBit) {
           EXPECT_TRUE(same_bits(a.cover, r.cover)) << "node " << i;
           EXPECT_TRUE(same_bits(a.value, r.value)) << "node " << i;
         }
-        EXPECT_TRUE(same_bits(tree.impurity_importance(), ref.importance));
         EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
       }
     }

@@ -189,15 +189,5 @@ TEST(TopologyTest, RadioTechSplitMatchesNsaRollout) {
   EXPECT_GT(outdoor_nr, indoor_nr * 3.0);
 }
 
-TEST(TopologyTest, RadioTechFractionValidated) {
-  TopologyParams params;
-  params.scale = 0.01;
-  params.indoor_nr_fraction = 1.5;
-  EXPECT_THROW(Topology::generate(params), icn::util::PreconditionError);
-  params.indoor_nr_fraction = 0.04;
-  params.outdoor_nr_fraction = -0.1;
-  EXPECT_THROW(Topology::generate(params), icn::util::PreconditionError);
-}
-
 }  // namespace
 }  // namespace icn::net

@@ -345,6 +345,15 @@ TEST(ServeServerTest, EnvConfigRejectsGarbage) {
   EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
   ::setenv("ICN_SERVE_MAX_CONNS", "0", 1);  // Below the floor of 1.
   EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError);
+  // A blank inside the number is garbage, not a separator to drop; blanks
+  // around it are trimmed.
+  for (const char* blank_inside : {"1 0", "1\t024"}) {
+    ::setenv("ICN_SERVE_MAX_CONNS", blank_inside, 1);
+    EXPECT_THROW((void)ServeConfig::from_env(), icn::util::EnvConfigError)
+        << blank_inside;
+  }
+  ::setenv("ICN_SERVE_MAX_CONNS", " \t10 ", 1);
+  EXPECT_EQ(ServeConfig::from_env().max_connections, 10u);
   ::unsetenv("ICN_SERVE_MAX_CONNS");
 
   ::setenv("ICN_SERVE_RATE", "7", 1);

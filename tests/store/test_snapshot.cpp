@@ -217,7 +217,7 @@ TEST(SnapshotTest, MissingFileThrowsIoError) {
                icn::util::IoError);
   EXPECT_THROW((void)SnapshotWriter::append_to("/nonexistent/icn.snap"),
                icn::util::IoError);
-  EXPECT_THROW((void)scan_section_index("/nonexistent/icn.snap"),
+  EXPECT_THROW((void)scan_snapshot("/nonexistent/icn.snap"),
                icn::util::IoError);
 }
 
@@ -319,7 +319,7 @@ TEST(SnapshotTest, SectionIndexReportsOffsetsAndSizes) {
                                                 4.0, 5.0, 6.0});
     writer.sync();
   }
-  const auto index = scan_section_index(file.path());
+  const auto index = scan_snapshot(file.path()).sections;
   ASSERT_EQ(index.size(), 2u);
   EXPECT_EQ(index[0].type, SectionType::kStreamMeta);
   EXPECT_EQ(index[0].header_offset, 16u);
@@ -458,7 +458,7 @@ TEST(SnapshotSectionIndexTest, FindSectionLocatesFirstOfEachType) {
   EXPECT_EQ(snap.find_section(SectionType::kCoverage), nullptr);
   EXPECT_EQ(snap.find_section(SectionType::kQuarantine), nullptr);
 
-  // The typed accessors route through the same index.
+  // The typed accessors route through find_section.
   EXPECT_TRUE(snap.matrix().has_value());
   EXPECT_TRUE(snap.stream_meta().has_value());
   EXPECT_FALSE(snap.coverage().has_value());

@@ -189,9 +189,6 @@ TEST_F(DemandModelTest, RejectsBadParams) {
   DemandParams params;
   params.concentration = 0.0;
   EXPECT_THROW(make(params), icn::util::PreconditionError);
-  params.concentration = 100.0;
-  params.outdoor_concentration = -1.0;
-  EXPECT_THROW(make(params), icn::util::PreconditionError);
 }
 
 }  // namespace

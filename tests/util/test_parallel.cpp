@@ -242,23 +242,6 @@ TEST(ThreadPoolTest, SerialExceptionIsFirstChunkDeterministically) {
   }
 }
 
-TEST(AdaptiveGrainTest, ScalesWithPoolAndRespectsFloor) {
-  {
-    ThreadPool::ScopedOverride pool(4);
-    const std::size_t g = adaptive_grain(0, 100'000);
-    EXPECT_GE(g, 1u);
-    // Enough chunks per lane that stealing can rebalance a skewed tail.
-    const std::size_t chunks = (100'000 + g - 1) / g;
-    EXPECT_GE(chunks, 4u * 8u);
-  }
-  {
-    ThreadPool::ScopedOverride pool(1);
-    EXPECT_GE(adaptive_grain(0, 10), 1u);
-    EXPECT_EQ(adaptive_grain(5, 5, 7), 7u);   // empty range: the floor
-    EXPECT_GE(adaptive_grain(0, 1'000'000, 64), 64u);
-  }
-}
-
 TEST(ThreadPoolTest, ConfiguredThreadsIsPositive) {
   EXPECT_GE(ThreadPool::configured_threads(), 1u);
 }
