@@ -82,7 +82,10 @@ int main() {
   // --- 2. Serve it. -------------------------------------------------------
   serve::ServeConfig config = serve::ServeConfig::from_env();
   serve::Server server(config, registry);
-  std::printf("serving %s on 127.0.0.1:%u\n", path.c_str(), server.port());
+  // The port and the tick count vary run to run, so they go to stderr and
+  // stdout stays byte-identical across runs.
+  std::printf("serving %s\n", path.c_str());
+  std::fprintf(stderr, "listening on 127.0.0.1:%u\n", server.port());
   std::thread reactor([&server] { server.run(); });
 
   serve::QueryClient client(server.port());
@@ -128,8 +131,9 @@ int main() {
   reactor.join();
   writer.close();
   std::remove(path.c_str());
-  std::printf("done: %llu frame(s) served over %llu tick(s)\n",
-              static_cast<unsigned long long>(server.stats().frames_served),
-              static_cast<unsigned long long>(server.stats().ticks));
+  std::printf("done: %llu frame(s) served\n",
+              static_cast<unsigned long long>(server.stats().frames_served));
+  std::fprintf(stderr, "reactor ran %llu tick(s)\n",
+               static_cast<unsigned long long>(server.stats().ticks));
   return 0;
 }

@@ -22,8 +22,6 @@ class EnvironmentCorrelation {
   EnvironmentCorrelation(const Scenario& scenario, std::span<const int> labels,
                          std::size_t k);
 
-  [[nodiscard]] std::size_t num_clusters() const { return k_; }
-
   /// Antennas of environment e inside cluster c.
   [[nodiscard]] std::size_t count(std::size_t cluster,
                                   net::Environment env) const;

@@ -8,7 +8,6 @@ namespace icn::core {
 Scenario Scenario::build(const ScenarioParams& params) {
   ICN_REQUIRE(params.scale > 0.0, "scenario scale");
   Scenario s;
-  s.params_ = params;
   s.catalog_ = std::make_unique<traffic::ServiceCatalog>();
   s.archetypes_ = std::make_unique<traffic::ArchetypeModel>(*s.catalog_);
 

@@ -32,12 +32,8 @@ class Scenario {
   /// Builds everything deterministically from the parameters.
   [[nodiscard]] static Scenario build(const ScenarioParams& params);
 
-  [[nodiscard]] const ScenarioParams& params() const { return params_; }
   [[nodiscard]] const traffic::ServiceCatalog& catalog() const {
     return *catalog_;
-  }
-  [[nodiscard]] const traffic::ArchetypeModel& archetypes() const {
-    return *archetypes_;
   }
   [[nodiscard]] const net::Topology& topology() const { return *topology_; }
   [[nodiscard]] const traffic::DemandModel& demand() const { return *demand_; }
@@ -52,7 +48,6 @@ class Scenario {
   [[nodiscard]] std::size_t num_services() const { return catalog_->size(); }
 
  private:
-  ScenarioParams params_;
   std::unique_ptr<traffic::ServiceCatalog> catalog_;
   std::unique_ptr<traffic::ArchetypeModel> archetypes_;
   std::unique_ptr<net::Topology> topology_;

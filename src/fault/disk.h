@@ -142,8 +142,6 @@ class FaultyVfs : public icn::store::Vfs {
   [[nodiscard]] MappedRegion map_readonly(const std::string& path) override;
   void unmap(MappedRegion region) noexcept override;
 
-  [[nodiscard]] const DiskFaultPlan& plan() const { return plan_; }
-
   /// Injection-order audit trail of every fault this shim has applied.
   [[nodiscard]] const FaultLedger& ledger() const;
 

@@ -151,10 +151,6 @@ struct OutageSpec {
   std::int64_t hour = 0;
   std::int64_t len = 0;
   std::uint64_t probes = 0;  ///< Bitmask of affected probe indices.
-
-  [[nodiscard]] bool affects(std::size_t probe) const {
-    return probe < 64 && (probes >> probe & 1) != 0;
-  }
   bool operator==(const OutageSpec&) const = default;
 };
 

@@ -32,9 +32,6 @@ class UliDecoder {
   [[nodiscard]] std::optional<std::uint32_t> antenna_of(
       std::uint32_t ecgi) const;
 
-  /// Number of registered cells.
-  [[nodiscard]] std::size_t size() const { return cells_.size(); }
-
  private:
   std::unordered_map<std::uint32_t, std::uint32_t> cells_;
 };

@@ -13,10 +13,7 @@ std::optional<ServiceSession> PassiveProbe::observe(
     return std::nullopt;
   }
   const auto service = dpi_->classify(flow.sni);
-  if (!service.has_value()) {
-    ++unknown_service_;
-    return std::nullopt;
-  }
+  if (!service.has_value()) return std::nullopt;
   ServiceSession session;
   session.antenna_id = *antenna;
   session.service = *service;

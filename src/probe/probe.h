@@ -34,8 +34,8 @@ class PassiveProbe {
   /// Decoder and classifier must outlive the probe.
   PassiveProbe(const UliDecoder& uli, DpiClassifier& dpi);
 
-  /// Processes one flow; nullopt when the cell is unknown or the DPI cannot
-  /// identify the service (counted separately).
+  /// Processes one flow; nullopt when the cell is unknown (counted here) or
+  /// the DPI cannot identify the service (counted by the classifier).
   [[nodiscard]] std::optional<ServiceSession> observe(
       const icn::traffic::FlowRecord& flow);
 
@@ -48,16 +48,10 @@ class PassiveProbe {
     return unknown_location_;
   }
 
-  /// Flows dropped because the DPI could not classify the host.
-  [[nodiscard]] std::size_t unknown_service() const {
-    return unknown_service_;
-  }
-
  private:
   const UliDecoder* uli_;
   DpiClassifier* dpi_;
   std::size_t unknown_location_ = 0;
-  std::size_t unknown_service_ = 0;
 };
 
 }  // namespace icn::probe

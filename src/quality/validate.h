@@ -99,8 +99,6 @@ class RecordValidator {
   [[nodiscard]] Verdict validate(probe::ServiceSession& record,
                                  std::int64_t batch_hour) const;
 
-  [[nodiscard]] const ValidatorParams& params() const { return params_; }
-
  private:
   [[nodiscard]] bool tracked(std::uint32_t antenna_id) const;
   /// Repairs a sign-flipped byte counter in place (fatal volume defects were

@@ -102,8 +102,6 @@ class QueryClient {
   /// Successful reconnects performed by call_idempotent().
   [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
-  [[nodiscard]] int fd() const { return fd_.get(); }
-
  private:
   /// One connect attempt per backoff round; throws ClientError when all
   /// options_.max_attempts fail.

@@ -100,8 +100,6 @@ class ServeFaultPlan {
 
   explicit ServeFaultPlan(const ServeFaultPlanParams& params);
 
-  [[nodiscard]] const ServeFaultPlanParams& params() const { return params_; }
-
   /// Received-byte budget for (conn, tick): 0 when stalled, kUnlimited when
   /// no fault, else a budget in [1, partial_read_max].
   [[nodiscard]] std::size_t rx_budget(std::uint64_t conn,
@@ -146,9 +144,6 @@ class FaultyTransport final : public Transport {
   void close() override { inner_->close(); }
   [[nodiscard]] int fd() const override { return inner_->fd(); }
 
-  /// Received bytes delivered so far (the corruption stream offset).
-  [[nodiscard]] std::uint64_t rx_offset() const { return rx_offset_; }
-
  private:
   /// Returns true when the connection is (now) dead; logs the reset once.
   bool check_reset(std::uint64_t tick);
@@ -172,7 +167,7 @@ class FaultyTransport final : public Transport {
   bool stall_logged_ = false;    ///< One kStall event per stalled tick.
   bool partial_logged_ = false;  ///< One kPartialRead event per capped tick.
   bool short_logged_ = false;    ///< One kShortWrite event per capped tick.
-  std::uint64_t rx_offset_ = 0;
+  std::uint64_t rx_offset_ = 0;  ///< Bytes received: the corruption offset.
 };
 
 }  // namespace icn::serve

@@ -151,15 +151,14 @@ void put_bytes(std::vector<std::uint8_t>& out,
                std::span<const std::uint8_t> bytes);
 
 /// Bounds-checked little-endian cursor over a request body. Each take_*
-/// returns nullopt once the body is exhausted; ok() reports whether every
-/// read so far succeeded and done() whether the body was fully consumed.
+/// returns nullopt once the body is exhausted; done() reports whether every
+/// read so far succeeded and the body was fully consumed.
 class BodyReader {
  public:
   explicit BodyReader(std::span<const std::uint8_t> body) : body_(body) {}
 
   [[nodiscard]] std::optional<std::uint32_t> take_u32();
   [[nodiscard]] std::optional<std::int64_t> take_i64();
-  [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool done() const { return ok_ && at_ == body_.size(); }
 
  private:

@@ -11,17 +11,16 @@ std::shared_ptr<ServedSnapshot> ServedSnapshot::load(
   std::shared_ptr<ServedSnapshot> out(new ServedSnapshot(path));
 
   out->matrix_ = out->snap_.matrix();
-  out->meta_ = out->snap_.stream_meta();
   out->windows_ = out->snap_.windows();
   out->coverage_ = out->snap_.coverage();
   out->quarantine_ = out->snap_.quarantine();
 
   // Shape: prefer the explicit kStreamMeta; fall back to the matrix for
   // merged study snapshots that carry totals only.
-  if (out->meta_) {
-    out->num_antennas_ = out->meta_->antenna_ids.size();
-    out->num_services_ = out->meta_->num_services;
-    out->num_hours_ = out->meta_->num_hours;
+  if (const auto meta = out->snap_.stream_meta()) {
+    out->num_antennas_ = meta->antenna_ids.size();
+    out->num_services_ = meta->num_services;
+    out->num_hours_ = meta->num_hours;
   } else if (out->matrix_) {
     out->num_antennas_ = out->matrix_->rows;
     out->num_services_ = out->matrix_->cols;

@@ -2,7 +2,7 @@
 // generations, nobody blocks (DESIGN.md §9.3).
 //
 // A ServedSnapshot is an immutable bundle of a mmap'd store snapshot, its
-// pre-parsed zero-copy views (matrix, meta, hour-indexed windows, coverage,
+// pre-parsed zero-copy views (matrix, hour-indexed windows, coverage,
 // quarantine), and optional analytics (cluster labels, per-cluster SHAP
 // rankings) computed offline by whoever publishes. Immutability is the whole
 // concurrency story: once published, the bundle never changes, so any number
@@ -68,7 +68,6 @@ class ServedSnapshot {
       std::optional<ServedAnalytics> analytics = std::nullopt);
 
   [[nodiscard]] const store::MappedSnapshot& snapshot() const { return snap_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] std::size_t num_antennas() const { return num_antennas_; }
@@ -77,9 +76,6 @@ class ServedSnapshot {
 
   [[nodiscard]] const std::optional<store::MatrixView>& matrix() const {
     return matrix_;
-  }
-  [[nodiscard]] const std::optional<store::StreamMetaView>& meta() const {
-    return meta_;
   }
   /// kWindow sections in file order.
   [[nodiscard]] const std::vector<store::WindowView>& windows() const {
@@ -108,10 +104,9 @@ class ServedSnapshot {
 
  private:
   friend class SnapshotRegistry;
-  explicit ServedSnapshot(const std::string& path) : snap_(path), path_(path) {}
+  explicit ServedSnapshot(const std::string& path) : snap_(path) {}
 
   store::MappedSnapshot snap_;
-  std::string path_;
   std::uint64_t generation_ = 0;  ///< Assigned by SnapshotRegistry::publish.
 
   std::size_t num_antennas_ = 0;
@@ -119,7 +114,6 @@ class ServedSnapshot {
   std::int64_t num_hours_ = 0;
 
   std::optional<store::MatrixView> matrix_;
-  std::optional<store::StreamMetaView> meta_;
   std::vector<store::WindowView> windows_;
   /// hour -> last window index, dense over [0, num_hours); -1 = absent.
   std::vector<std::ptrdiff_t> hour_index_;

@@ -110,9 +110,6 @@ void Session::on_readable(std::uint64_t tick) {
     auto span = read_buf_.grow_tail(16384);
     const std::ptrdiff_t n = transport_->read_some(span, tick);
     if (n < 0) {
-      if (close_reason_ == CloseReason::kNone) {
-        close_reason_ = CloseReason::kPeerGone;
-      }
       close_now();
       return;
     }
@@ -146,7 +143,6 @@ bool Session::serve_buffered(std::uint64_t tick) {
               std::to_string(config_.max_frame));
       write_buf_.append(reply_scratch_);
       state_ = SessionState::kDraining;
-      close_reason_ = CloseReason::kOversized;
       return true;
     }
     serve_frame(frame.payload, tick);
@@ -164,9 +160,6 @@ void Session::on_writable(std::uint64_t tick) {
   while (!write_buf_.empty()) {
     const std::ptrdiff_t n = transport_->write_some(write_buf_.data(), tick);
     if (n < 0) {
-      if (close_reason_ == CloseReason::kNone) {
-        close_reason_ = CloseReason::kPeerGone;
-      }
       close_now();
       return;
     }
@@ -188,8 +181,7 @@ TickEvent Session::on_tick(std::uint64_t tick) {
     if (head.kind == FrameResult::Kind::kNeedMore && wants_read() &&
         tick >= frame_start_tick_ &&
         tick - frame_start_tick_ >= config_.request_deadline_ticks) {
-      evict(CloseReason::kRequestDeadline, tick,
-            "request deadline exceeded (incomplete frame)");
+      evict("request deadline exceeded (incomplete frame)");
       return TickEvent::kEvictedDeadline;
     }
   }
@@ -197,20 +189,18 @@ TickEvent Session::on_tick(std::uint64_t tick) {
   if (config_.idle_deadline_ticks > 0 && read_buf_.empty() &&
       write_buf_.empty() && tick >= last_activity_tick_ &&
       tick - last_activity_tick_ >= config_.idle_deadline_ticks) {
-    evict(CloseReason::kIdleDeadline, tick, "idle deadline exceeded");
+    evict("idle deadline exceeded");
     return TickEvent::kEvictedIdle;
   }
   return TickEvent::kNone;
 }
 
-void Session::evict(CloseReason reason, std::uint64_t /*tick*/,
-                    const char* detail) {
+void Session::evict(const char* detail) {
   reply_scratch_.clear();
   append_error_reply(reply_scratch_, 0, Opcode::kPing, Status::kDeadline,
                      pinned_generation(), detail);
   write_buf_.append(reply_scratch_);
   state_ = SessionState::kDraining;
-  close_reason_ = reason;
 }
 
 void Session::begin_drain(std::uint64_t tick) {
@@ -221,9 +211,6 @@ void Session::begin_drain(std::uint64_t tick) {
   // The reactor closes the session once it is drain-idle — replies flushed
   // and no complete frame pending — or at the drain deadline.
   serve_buffered(tick);
-  if (close_reason_ == CloseReason::kNone) {
-    close_reason_ = CloseReason::kShutdown;
-  }
 }
 
 bool Session::drain_idle() const {
@@ -236,9 +223,6 @@ bool Session::drain_idle() const {
 
 void Session::force_close() {
   if (state_ == SessionState::kClosed) return;
-  if (close_reason_ == CloseReason::kNone) {
-    close_reason_ = CloseReason::kShutdown;
-  }
   close_now();
 }
 

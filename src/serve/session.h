@@ -78,16 +78,6 @@ enum class SessionState : std::uint8_t {
   kClosed,    ///< EOF or hard error; reactor should drop it now.
 };
 
-/// Why the session left kOpen (diagnostics / test assertions).
-enum class CloseReason : std::uint8_t {
-  kNone,
-  kPeerGone,         ///< EOF, reset, or injected connection death.
-  kOversized,        ///< Oversized frame reject.
-  kIdleDeadline,     ///< Evicted: no bytes for idle_deadline_ticks.
-  kRequestDeadline,  ///< Evicted: slow-loris partial frame.
-  kShutdown,         ///< Server drain.
-};
-
 /// Outcome of one deadline check (Session::on_tick).
 enum class TickEvent : std::uint8_t {
   kNone,
@@ -110,7 +100,6 @@ class Session {
 
   [[nodiscard]] int fd() const { return transport_->fd(); }
   [[nodiscard]] SessionState state() const { return state_; }
-  [[nodiscard]] CloseReason close_reason() const { return close_reason_; }
 
   /// True when the session has reply bytes waiting for the socket.
   [[nodiscard]] bool wants_write() const { return !write_buf_.empty(); }
@@ -166,7 +155,7 @@ class Session {
  private:
   void close_now();
   /// Queues the typed eviction reply and starts drain-and-close.
-  void evict(CloseReason reason, std::uint64_t tick, const char* detail);
+  void evict(const char* detail);
 
   std::unique_ptr<Transport> transport_;
   std::shared_ptr<const ServedSnapshot> pinned_;
@@ -180,7 +169,6 @@ class Session {
   std::vector<std::uint8_t> reply_scratch_;
   std::vector<std::uint8_t> body_scratch_;
   SessionState state_ = SessionState::kOpen;
-  CloseReason close_reason_ = CloseReason::kNone;
   bool shutting_down_ = false;
   std::uint64_t last_activity_tick_ = 0;  ///< Last tick that moved bytes in.
   std::uint64_t frame_start_tick_ = 0;    ///< When the pending frame began.

@@ -199,24 +199,19 @@ class SnapshotWriter {
   /// sync() explicitly when the outcome matters.
   void close();
 
-  [[nodiscard]] const std::string& path() const { return path_; }
-
-  /// Bytes appended so far (header + completed sections) — the rollback
-  /// boundary of a failed append.
-  [[nodiscard]] std::uint64_t end_offset() const { return end_offset_; }
-
  private:
-  SnapshotWriter(std::string path, VfsFile file, Vfs& vfs,
-                 std::uint64_t end_offset)
+  SnapshotWriter(std::string path, VfsFile file, Vfs& vfs, std::uint64_t end)
       : path_(std::move(path)),
         vfs_(&vfs),
         file_(std::move(file)),
-        end_offset_(end_offset) {}
+        end_offset_(end) {}
   void write_all(std::span<const std::uint8_t> bytes);
 
   std::string path_;
   Vfs* vfs_ = nullptr;
   VfsFile file_;
+  /// Bytes appended so far (header + completed sections) — the rollback
+  /// boundary of a failed append.
   std::uint64_t end_offset_ = 0;
   bool dir_synced_ = false;
   std::uint64_t seals_ = 0;

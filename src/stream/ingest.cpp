@@ -1,7 +1,6 @@
 #include "stream/ingest.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.h"
 #include "util/parallel.h"
@@ -103,13 +102,9 @@ void StreamIngestor::push(std::span<const probe::ServiceSession> batch) {
           untracked_per_shard[shard] = untracked;
         }
       });
-  std::size_t accepted_in_batch = 0;
-  for (std::size_t shard = 0; shard < num_shards_; ++shard) {
-    untracked_dropped_ += untracked_per_shard[shard];
-    accepted_in_batch += shard_idx[shard].size();
+  for (const std::size_t untracked : untracked_per_shard) {
+    untracked_dropped_ += untracked;
   }
-  accepted_ += accepted_in_batch - std::accumulate(
-      untracked_per_shard.begin(), untracked_per_shard.end(), std::size_t{0});
 
   // Advance the watermark over this batch and close what it passed.
   if (batch_max > watermark_) watermark_ = batch_max;

@@ -125,9 +125,6 @@ class StreamIngestor {
     return untracked_dropped_;
   }
 
-  /// Records accumulated into a window.
-  [[nodiscard]] std::size_t accepted() const { return accepted_; }
-
   /// Retries the checkpoint append of every pending window, in closing
   /// order. Returns true when the queue drained (or was empty / there is no
   /// checkpoint). On an IoError the remaining windows stay queued, the
@@ -146,11 +143,6 @@ class StreamIngestor {
   [[nodiscard]] std::size_t pending_checkpoint_windows() const {
     return pending_checkpoint_.size();
   }
-
-  [[nodiscard]] std::size_t num_antennas() const { return ids_.size(); }
-  [[nodiscard]] std::size_t num_services() const { return num_services_; }
-  [[nodiscard]] std::size_t num_shards() const { return num_shards_; }
-  [[nodiscard]] bool finished() const { return finished_; }
 
  private:
   void close_windows_before(std::int64_t bound);
@@ -187,7 +179,6 @@ class StreamIngestor {
   std::size_t late_dropped_ = 0;
   std::size_t already_durable_ = 0;
   std::size_t untracked_dropped_ = 0;
-  std::size_t accepted_ = 0;
 };
 
 /// Adds one closed window's cells into a totals matrix. Requires the matrix

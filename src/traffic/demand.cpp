@@ -70,7 +70,7 @@ double DemandModel::mean_total_mb(net::Environment e) {
 DemandModel::DemandModel(const net::Topology& topology,
                          const ArchetypeModel& archetypes,
                          const DemandParams& params)
-    : topology_(&topology), archetypes_(&archetypes), params_(params) {
+    : topology_(&topology), archetypes_(&archetypes) {
   ICN_REQUIRE(params.concentration > 0.0, "demand concentration");
   const auto& indoor = topology.indoor();
   const std::size_t n = indoor.size();

@@ -67,7 +67,6 @@ class DemandModel {
   [[nodiscard]] const ArchetypeModel& archetypes() const {
     return *archetypes_;
   }
-  [[nodiscard]] const DemandParams& params() const { return params_; }
 
   /// Mean two-month total volume (MB) for an environment; exposed for tests.
   [[nodiscard]] static double mean_total_mb(net::Environment e);
@@ -75,7 +74,6 @@ class DemandModel {
  private:
   const net::Topology* topology_;
   const ArchetypeModel* archetypes_;
-  DemandParams params_;
   std::vector<AntennaProfile> profiles_;
   std::vector<int> labels_;
   ml::Matrix traffic_;

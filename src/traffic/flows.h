@@ -67,8 +67,6 @@ class FlowGenerator {
       std::size_t antenna, std::int64_t first_hour,
       std::int64_t last_hour) const;
 
-  [[nodiscard]] const TemporalModel& temporal() const { return *temporal_; }
-
  private:
   const TemporalModel* temporal_;
   std::uint64_t seed_;

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -74,9 +73,6 @@ class ServiceCatalog {
 
   /// Service at index j. Requires j < size().
   [[nodiscard]] const Service& at(std::size_t j) const;
-
-  /// All services in index order.
-  [[nodiscard]] std::span<const Service> all() const { return services_; }
 
   /// Index of the service with the given display name (exact match).
   [[nodiscard]] std::optional<std::size_t> index_of(

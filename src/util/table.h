@@ -20,9 +20,6 @@ class TextTable {
   /// Appends one row; missing trailing cells render empty, extra cells throw.
   void add_row(std::vector<std::string> cells);
 
-  /// Number of data rows added so far.
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
-
   /// Renders the table (header, separator, rows) to a string.
   [[nodiscard]] std::string to_string() const;
 

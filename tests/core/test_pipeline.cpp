@@ -143,7 +143,7 @@ TEST(ProbePathTest, ProbeAggregationReproducesGeneratorTensor) {
     agg.add_all(passive.observe_all(flows));
   }
   EXPECT_EQ(passive.unknown_location(), 0u);
-  EXPECT_EQ(passive.unknown_service(), 0u);
+  EXPECT_EQ(dpi.unmatched(), 0u);
   EXPECT_EQ(agg.dropped(), 0u);
 
   for (const std::uint32_t antenna : ids) {

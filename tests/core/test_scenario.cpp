@@ -23,7 +23,7 @@ TEST(ScenarioTest, BuildWiresEverythingTogether) {
   EXPECT_EQ(s.demand().traffic_matrix().cols(), s.num_services());
   EXPECT_EQ(s.temporal().period().num_days(), 65);
   EXPECT_EQ(&s.demand().topology(), &s.topology());
-  EXPECT_EQ(&s.demand().archetypes(), &s.archetypes());
+  EXPECT_EQ(&s.demand().archetypes().catalog(), &s.catalog());
   EXPECT_EQ(&s.temporal().demand(), &s.demand());
 }
 

@@ -45,10 +45,10 @@ TEST_F(FailureInjectionTest, UnknownSniFractionIsDropped) {
   const auto flows = generator.flows_for_antenna(0, 0, 24 * 5);
   const auto sessions = probe.observe_all(flows);
   const double dropped_fraction =
-      static_cast<double>(probe.unknown_service()) /
+      static_cast<double>(dpi.unmatched()) /
       static_cast<double>(flows.size());
   EXPECT_NEAR(dropped_fraction, fraction, 0.03);
-  EXPECT_EQ(sessions.size() + probe.unknown_service(), flows.size());
+  EXPECT_EQ(sessions.size() + dpi.unmatched(), flows.size());
   EXPECT_EQ(probe.unknown_location(), 0u);
 }
 

@@ -42,14 +42,14 @@ TEST_F(PassiveProbeTest, DropsUnknownLocation) {
   PassiveProbe probe(decoder_, dpi_);
   EXPECT_FALSE(probe.observe(make_flow(9999, "spotify.com")).has_value());
   EXPECT_EQ(probe.unknown_location(), 1u);
-  EXPECT_EQ(probe.unknown_service(), 0u);
+  EXPECT_EQ(dpi_.unmatched(), 0u);
 }
 
 TEST_F(PassiveProbeTest, DropsUnknownService) {
   PassiveProbe probe(decoder_, dpi_);
   EXPECT_FALSE(probe.observe(make_flow(1000, "mystery.example")).has_value());
   EXPECT_EQ(probe.unknown_location(), 0u);
-  EXPECT_EQ(probe.unknown_service(), 1u);
+  EXPECT_EQ(dpi_.unmatched(), 1u);
 }
 
 TEST_F(PassiveProbeTest, LocationCheckedBeforeService) {
@@ -57,7 +57,7 @@ TEST_F(PassiveProbeTest, LocationCheckedBeforeService) {
   PassiveProbe probe(decoder_, dpi_);
   EXPECT_FALSE(probe.observe(make_flow(9999, "mystery.example")).has_value());
   EXPECT_EQ(probe.unknown_location(), 1u);
-  EXPECT_EQ(probe.unknown_service(), 0u);
+  EXPECT_EQ(dpi_.unmatched(), 0u);
 }
 
 TEST_F(PassiveProbeTest, ObserveAllFiltersBatch) {
@@ -73,7 +73,7 @@ TEST_F(PassiveProbeTest, ObserveAllFiltersBatch) {
   EXPECT_EQ(sessions[0].antenna_id, 0u);
   EXPECT_EQ(sessions[1].antenna_id, 2u);
   EXPECT_EQ(probe.unknown_location(), 1u);
-  EXPECT_EQ(probe.unknown_service(), 1u);
+  EXPECT_EQ(dpi_.unmatched(), 1u);
 }
 
 }  // namespace

@@ -202,8 +202,12 @@ TEST(ServeProtocolTest, BodyReaderBoundsChecks) {
   EXPECT_EQ(in.take_u32().value_or(0), 7u);
   EXPECT_TRUE(in.done());
   EXPECT_FALSE(in.take_i64().has_value());
-  EXPECT_FALSE(in.ok());
   EXPECT_FALSE(in.done());
+  // A failed read is sticky: the u32 that would still fit is refused.
+  BodyReader sticky(body);
+  EXPECT_FALSE(sticky.take_i64().has_value());
+  EXPECT_FALSE(sticky.take_u32().has_value());
+  EXPECT_FALSE(sticky.done());
 }
 
 TEST(ServeProtocolTest, DispatchAnswersEveryCorpusRequestOk) {

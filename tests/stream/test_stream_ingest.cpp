@@ -264,7 +264,9 @@ TEST(StreamIngestTest, PushAfterFinishIsRejectedWithoutSideEffects) {
                icn::util::PreconditionError);
   // The rejected push must not have leaked anything into the totals.
   expect_matrices_equal(ingest.traffic_matrix(), before);
-  EXPECT_TRUE(ingest.finished());
+  // ... and the ingestor stays finished.
+  EXPECT_THROW(ingest.push(hour_sessions(2, 11)),
+               icn::util::PreconditionError);
 }
 
 TEST(StreamIngestTest, ResumeBeforeAfterFirstPushIsRejected) {

@@ -19,14 +19,18 @@ TEST(ServiceCatalogTest, Has73Services) {
 TEST(ServiceCatalogTest, NamesAreUnique) {
   const ServiceCatalog catalog;
   std::set<std::string> names;
-  for (const auto& s : catalog.all()) names.insert(std::string(s.name));
+  for (std::size_t j = 0; j < catalog.size(); ++j) {
+    names.insert(std::string(catalog.at(j).name));
+  }
   EXPECT_EQ(names.size(), catalog.size());
 }
 
 TEST(ServiceCatalogTest, SignaturesAreUnique) {
   const ServiceCatalog catalog;
   std::set<std::string> sigs;
-  for (const auto& s : catalog.all()) sigs.insert(std::string(s.signature));
+  for (std::size_t j = 0; j < catalog.size(); ++j) {
+    sigs.insert(std::string(catalog.at(j).signature));
+  }
   EXPECT_EQ(sigs.size(), catalog.size());
 }
 

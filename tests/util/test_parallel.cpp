@@ -174,6 +174,29 @@ TEST(ThreadPoolTest, StealingCoversSkewedWorkExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPoolTest, BackToBackJobsRunEveryChunkExactlyOnce) {
+  // Thousands of short jobs in a row: a worker may wake after its job has
+  // ended, or after the next one has begun. Either way it must not run a
+  // chunk of a finished job, and every chunk of every job runs exactly once.
+  ThreadPool::ScopedOverride pool(8);
+  constexpr std::size_t kJobs = 5'000;
+  std::vector<std::atomic<int>> hits(kJobs * 6);
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    const std::size_t chunks = 2 + job % 5;
+    ThreadPool::active().run_chunks(chunks, [&](std::size_t c) {
+      hits[job * 6 + c].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t c = 0; c < 6; ++c) {
+      ASSERT_EQ(hits[job * 6 + c].load(), c < chunks ? 1 : 0)
+          << "job " << job << " chunk " << c;
+    }
+  }
+  // A chunk of a finished job run late, by a stray worker, shows up here.
+  std::size_t total = 0;
+  for (const auto& h : hits) total += static_cast<std::size_t>(h.load());
+  EXPECT_EQ(total, kJobs * 4);  // 2 + job % 5 chunks average 4
+}
+
 TEST(ThreadPoolTest, StealingReduceMatchesSerialBitForBit) {
   // Chunk contents are a pure function of (begin, end, grain), so whichever
   // lane runs (or steals) a chunk, every thread count produces the serial

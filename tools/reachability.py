@@ -6,28 +6,39 @@ Usage:
   tools/reachability.py --build DIR --perfbench EXE [--keep FILE]
 
 DIR must be a build of this repository made at -O0 with
--ffunction-sections and -Wl,--gc-sections (and tests off), so that the
-linker drops every function a binary does not reach and no call is hidden
-by inlining; EXE is icn_perfbench built the same way from perfbench/:
+-ffunction-sections, -fkeep-inline-functions and -Wl,--gc-sections (and
+tests off), so that every inline function a library file sees is emitted,
+the linker drops every function a binary does not reach and no call is
+hidden by inlining; EXE is icn_perfbench built the same way from perfbench/:
 
   cmake -B DIR -S . -DCMAKE_BUILD_TYPE=Debug -DICN_BUILD_TESTS=OFF \\
-    -DCMAKE_CXX_FLAGS=-ffunction-sections \\
+    "-DCMAKE_CXX_FLAGS=-ffunction-sections -fkeep-inline-functions" \\
     -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
   cmake --build DIR -j
   cmake -S perfbench -B PB -DCMAKE_BUILD_TYPE=Debug \\
-    -DCMAKE_CXX_FLAGS=-ffunction-sections \\
+    "-DCMAKE_CXX_FLAGS=-ffunction-sections -fkeep-inline-functions" \\
     -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections
   cmake --build PB -j --target icn_perfbench
 
-Defined: the global text symbols (nm type T) of DIR/src/*/*.a. Kept: every
-symbol of type T, t, W or w in an executable under DIR/examples, DIR/bench
-or DIR/tools, or in EXE. A defined function that no executable keeps is
-unreached. Names are compared demangled, with [abi:...] tags stripped, so a
-constructor counts as kept when any of its variants is.
+Defined: the global text symbols (nm type T) of DIR/src/*/*.a, plus their
+weak symbols (W) that are functions defined inline in this repository's
+headers: the qualified name (the demangled text before the parameter list)
+starts with icn::, holds no std:: and no space (a template instantiation
+prints its return type first), and names neither a constructor, a
+destructor nor an assignment operator (operator=), which the compiler
+writes for most types and no source line defines. A comparison declared
+"= default" counts like any other function, since its declaration is a
+line one can delete. Kept: every symbol of type T, t, W or w in an executable under
+DIR/examples, DIR/bench or DIR/tools, or in EXE. A defined function that
+no executable keeps is unreached. Names are compared demangled, with
+[abi:...] tags stripped, so a constructor counts as kept when any of its
+variants is.
 
-Out of reach: functions defined inline in headers (and templates) are weak
-symbols of whoever includes them, never T symbols of a library, so this
-check cannot see them.
+Out of reach: function templates (util::parallel_reduce,
+util::pick_kernel), whose instantiations print a return type first; an
+inline function in a header no library file includes; and a comparison
+declared "= default" that no library file uses, since the compiler writes
+one only where something compares.
 
 The keep-list holds one unreached function per line, as
 "<demangled signature>  # <why it stays>"; blank lines and lines starting
@@ -43,6 +54,7 @@ import sys
 
 ABI_TAG = re.compile(r"\[abi:[^\]]*\]")
 NM_LINE = re.compile(r"^[0-9a-fA-F]+ ([A-Za-z]) (.+)$")
+QUALIFIERS = re.compile(r"( const| volatile| &&| &)+$")
 SEPARATOR = "  # "
 
 
@@ -56,6 +68,31 @@ def symbols(paths, types):
         if m and m.group(1) in types:
             names.add(ABI_TAG.sub("", m.group(2)))
     return names
+
+
+def qualified_name(signature):
+    """The text before the parameter list: "a::B::operator()" for
+    "a::B::operator()(int) const"."""
+    head = QUALIFIERS.sub("", signature)
+    if not head.endswith(")"):
+        return head
+    depth = 0
+    for i in range(len(head) - 1, -1, -1):
+        depth += {")": 1, "(": -1}.get(head[i], 0)
+        if depth == 0:
+            return head[:i]
+    return head
+
+
+def is_header_inline(signature):
+    """A weak library symbol that is a function written in a header here."""
+    name = qualified_name(signature)
+    if not name.startswith("icn::") or "std::" in name or " " in name:
+        return False
+    parts = name.split("::")
+    last = parts[-1]
+    return not (last.startswith("~") or last == "operator="
+                or last == parts[-2].split("<")[0])
 
 
 def is_executable(path):
@@ -123,7 +160,9 @@ def main():
         sys.exit(f"no src/*/*.a under {args.build}")
     if not is_executable(args.perfbench):
         sys.exit(f"not an executable: {args.perfbench}")
-    unreached = symbols(libs, "T") - symbols(bins, "TtWw")
+    defined = symbols(libs, "T") | {
+        name for name in symbols(libs, "W") if is_header_inline(name)}
+    unreached = defined - symbols(bins, "TtWw")
     keep, errors = read_keep_list(args.keep)
     errors += [f"unreached, not in the keep-list: {name}"
                for name in sorted(unreached - keep.keys())]
