@@ -44,10 +44,13 @@ int main() {
   analytics.shap[0] = {{0, 0.91, 0.88, 410.0}, {2, 0.22, -0.41, 35.0}};
   analytics.shap[1] = {{3, 0.74, 0.79, 120.0}, {0, 0.31, -0.52, 90.0}};
 
+  // A sealed file that fails validation is quarantined: try_publish_file
+  // returns 0, counts it in kHealth's degraded publishes, and the previous
+  // generation keeps serving.
   store::SnapshotWriter writer(path);
   writer.set_seal_hook([&](const store::SealEvent& event) {
     const std::uint64_t generation =
-        registry.publish_file(event.path, analytics);
+        registry.try_publish_file(event.path, analytics);
     std::printf("seal #%llu (%zu section(s)) -> published generation %llu\n",
                 static_cast<unsigned long long>(event.seals),
                 event.sections_sealed,
@@ -132,8 +135,8 @@ int main() {
   writer.close();
   std::remove(path.c_str());
   std::printf("done: %llu frame(s) served\n",
-              static_cast<unsigned long long>(server.stats().frames_served));
+              static_cast<unsigned long long>(server.health().frames_served));
   std::fprintf(stderr, "reactor ran %llu tick(s)\n",
-               static_cast<unsigned long long>(server.stats().ticks));
+               static_cast<unsigned long long>(server.health().ticks));
   return 0;
 }

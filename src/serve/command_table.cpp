@@ -277,9 +277,9 @@ Status run_health(const ServedSnapshot&, BodyReader&,
                   std::vector<std::uint8_t>& body) {
   // Dispatch is a pure function of (snapshot, request); live reactor
   // counters are session state, so the deterministic path answers with a
-  // zeroed HealthInfo and Session::serve_frame overrides it with the real
-  // numbers. kHealth is therefore excluded from the byte-exactness oracle.
-  append_health_body(body, HealthInfo{});
+  // zeroed body and Session::serve_frame answers with the real numbers.
+  // kHealth is therefore excluded from the byte-exactness oracle.
+  append_health_body(body, HealthInfo{}, 0, 0);
   return Status::kOk;
 }
 
@@ -390,7 +390,9 @@ void dispatch_request(const ServedSnapshot* snap,
         req.opcode == Opcode::kHealth) {
       std::vector<std::uint8_t> body;
       if (req.opcode == Opcode::kPing) put_u32(body, kProtocolVersion);
-      if (req.opcode == Opcode::kHealth) append_health_body(body, HealthInfo{});
+      if (req.opcode == Opcode::kHealth) {
+        append_health_body(body, HealthInfo{}, 0, 0);
+      }
       append_reply(out, req.request_id, req.opcode, Status::kOk, 0, body);
     } else {
       append_error_reply(out, req.request_id, req.opcode, Status::kNoSnapshot,

@@ -62,24 +62,21 @@ const char* to_string(Status status) {
 }
 
 void append_health_body(std::vector<std::uint8_t>& out,
-                        const HealthInfo& info) {
+                        const HealthInfo& counters,
+                        std::uint64_t latest_generation,
+                        std::uint64_t degraded_publishes) {
   put_u32(out, kProtocolVersion);
-  put_u32(out, info.open_sessions);
-  put_u64(out, info.latest_generation);
-  put_u64(out, info.degraded_publishes);
-  put_u64(out, info.connections_accepted);
-  put_u64(out, info.connections_refused);
-  put_u64(out, info.connections_closed);
-  put_u64(out, info.frames_served);
-  put_u64(out, info.ticks);
-  put_u64(out, info.evicted_idle);
-  put_u64(out, info.evicted_deadline);
-  put_u64(out, info.shutdown_rejects);
-  put_u64(out, info.checkpoint_failures);
-  put_u8(out, info.draining);
-  put_u8(out, 0);
-  put_u8(out, 0);
-  put_u8(out, 0);
+  put_u32(out, static_cast<std::uint32_t>(counters.connections_accepted -
+                                          counters.connections_closed));
+  put_u64(out, latest_generation);
+  put_u64(out, degraded_publishes);
+  put_u64(out, counters.connections_accepted);
+  put_u64(out, counters.connections_refused);
+  put_u64(out, counters.connections_closed);
+  put_u64(out, counters.frames_served);
+  put_u64(out, counters.ticks);
+  put_u64(out, counters.evicted_idle);
+  put_u64(out, counters.evicted_deadline);
 }
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {

@@ -55,11 +55,11 @@ enum class Opcode : std::uint8_t {
   kQuarantine = 7,  ///< body: empty. reply: per-hour rejected/repaired.
   kRepin = 8,       ///< body: empty. Session re-pins to the latest
                     ///< generation; reply body empty.
-  kHealth = 9,      ///< body: empty. reply: HealthInfo wire layout (see
-                    ///< append_health_body). Served with *live* reactor
-                    ///< stats by the session; the pure dispatch path
-                    ///< answers with zeroed counters, so kHealth is the one
-                    ///< opcode excluded from the byte-exactness oracle.
+  kHealth = 9,      ///< body: empty. reply: see append_health_body.
+                    ///< Served with the *live* reactor counters by the
+                    ///< session; the pure dispatch path answers with
+                    ///< zeroed counters, so kHealth is the one opcode
+                    ///< excluded from the byte-exactness oracle.
 };
 
 /// Wildcard row/service selector in kSlice/kCoverage bodies.
@@ -91,13 +91,11 @@ enum class Status : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Status status);
 
-/// Live reactor health served by Opcode::kHealth. The session fills it from
-/// the reactor's counters; dispatch_request (no reactor behind it) answers
-/// with a zeroed instance so the wire layout is total over callers.
+/// Live reactor counters served by Opcode::kHealth. The reactor and its
+/// sessions bump one instance in place; dispatch_request (no reactor behind
+/// it) answers with a zeroed instance so the wire layout is total over
+/// callers.
 struct HealthInfo {
-  std::uint32_t open_sessions = 0;
-  std::uint64_t latest_generation = 0;   ///< Registry head, not the pin.
-  std::uint64_t degraded_publishes = 0;  ///< Publishes quarantined by CRC.
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_refused = 0;
   std::uint64_t connections_closed = 0;
@@ -105,20 +103,19 @@ struct HealthInfo {
   std::uint64_t ticks = 0;
   std::uint64_t evicted_idle = 0;      ///< Idle-deadline evictions.
   std::uint64_t evicted_deadline = 0;  ///< Request-deadline (slow loris).
-  std::uint64_t shutdown_rejects = 0;  ///< Frames refused while draining.
-  std::uint64_t checkpoint_failures = 0;  ///< Durability-layer checkpoint
-                                          ///< append/fsync failures (ENOSPC
-                                          ///< degradation) upstream of the
-                                          ///< snapshots this server publishes.
-  std::uint8_t draining = 0;
 };
 
 /// Exact byte size of the kHealth kOk reply body.
-inline constexpr std::size_t kHealthBodySize = 4 + 4 + 11 * 8 + 4;
+inline constexpr std::size_t kHealthBodySize = 4 + 4 + 8 + 8 + 7 * 8;
 
-/// Appends the fixed little-endian kHealth body (version, then HealthInfo).
+/// Appends the fixed little-endian kHealth body: u32 version, u32 open
+/// sessions (accepted - closed), u64 latest_generation (the registry head,
+/// not the pin), u64 degraded_publishes (publishes quarantined by CRC), then
+/// the seven HealthInfo counters in declaration order.
 void append_health_body(std::vector<std::uint8_t>& out,
-                        const HealthInfo& info);
+                        const HealthInfo& counters,
+                        std::uint64_t latest_generation,
+                        std::uint64_t degraded_publishes);
 
 /// Decoded request header + body view (into the caller's frame buffer).
 struct Request {

@@ -70,9 +70,6 @@ ServeConfig ServeConfig::from_env() {
     config.rate_burst = static_cast<std::uint32_t>(
         parse_env_u64("ICN_SERVE_RATE_BURST", v, 0, 1u << 30));
   }
-  if (config.rate_tokens_per_tick > 0 && config.rate_burst == 0) {
-    config.rate_burst = config.rate_tokens_per_tick;
-  }
   if (const char* v = std::getenv("ICN_SERVE_IDLE_TICKS")) {
     config.idle_deadline_ticks =
         parse_env_u64("ICN_SERVE_IDLE_TICKS", v, 0, 1u << 30);
@@ -126,19 +123,18 @@ void Server::accept_pending(std::uint64_t tick) {
                           std::to_string(config_.max_connections) +
                           " reached");
       (void)icn::util::write_some(fd.get(), reject);
-      stats_.connections_refused += 1;
+      health_.connections_refused += 1;
       continue;  // Fd closes on scope exit.
     }
     std::unique_ptr<Transport> transport =
         std::make_unique<SocketTransport>(std::move(fd));
     if (transport_factory_) {
       transport = transport_factory_(std::move(transport),
-                                     stats_.connections_accepted);
+                                     health_.connections_accepted);
     }
     const int raw = transport->fd();
-    auto session = std::make_unique<Session>(
-        std::move(transport), registry_.acquire(), &registry_, config_, stats_,
-        health_, tick);
+    auto session = std::make_unique<Session>(std::move(transport), registry_,
+                                             config_, health_, tick);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = raw;
@@ -146,7 +142,7 @@ void Server::accept_pending(std::uint64_t tick) {
       fail_errno("epoll_ctl(session add)");
     }
     sessions_.emplace(raw, std::move(session));
-    stats_.connections_accepted += 1;
+    health_.connections_accepted += 1;
   }
 }
 
@@ -164,17 +160,7 @@ void Server::drop_closed(int fd) {
   // The Session already closed its descriptor, which removed it from the
   // epoll set implicitly.
   sessions_.erase(fd);
-  stats_.connections_closed += 1;
-}
-
-void Server::refresh_health() {
-  health_ = stats_;
-  health_.open_sessions = static_cast<std::uint32_t>(sessions_.size());
-  health_.latest_generation = registry_.generation();
-  health_.degraded_publishes = registry_.degraded_publishes();
-  health_.checkpoint_failures =
-      checkpoint_failures_source_ ? checkpoint_failures_source_() : 0;
-  health_.draining = draining_ ? 1 : 0;
+  health_.connections_closed += 1;
 }
 
 void Server::sweep_sessions(std::uint64_t tick) {
@@ -198,12 +184,7 @@ void Server::sweep_sessions(std::uint64_t tick) {
       // their typed kShuttingDown rejects instead of a bare EOF.
       session.force_close();
     } else if (session.state() == SessionState::kOpen) {
-      const TickEvent event = session.on_tick(tick);
-      if (event == TickEvent::kEvictedIdle) {
-        stats_.evicted_idle += 1;
-      } else if (event == TickEvent::kEvictedDeadline) {
-        stats_.evicted_deadline += 1;
-      }
+      session.on_tick(tick);
     }
     // Evictions and drain rejects queue reply bytes outside the event
     // loop; flush them now so a quiet socket still sees the typed close.
@@ -226,15 +207,14 @@ int Server::step(int timeout_ms) {
   } while (n < 0 && errno == EINTR);
   if (n < 0) fail_errno("epoll_wait");
 
-  stats_.ticks += 1;
-  const std::uint64_t tick = stats_.ticks;
+  health_.ticks += 1;
+  const std::uint64_t tick = health_.ticks;
 
   if (!draining_ && drain_requested_.load(std::memory_order_acquire)) {
     draining_ = true;
     drain_started_tick_ = tick;
     for (auto& [fd, session] : sessions_) session->begin_drain(tick);
   }
-  refresh_health();
 
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;

@@ -70,31 +70,18 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  /// Running reactor totals, live (read between steps or after stop). Only
-  /// the counters the reactor itself maintains are set: connections, frames,
-  /// ticks, evictions and shutdown rejects. The registry, session,
-  /// checkpoint and drain fields are filled in by health().
-  [[nodiscard]] const HealthInfo& stats() const { return stats_; }
+  /// The live counters kHealth serves, bumped in place by the reactor and
+  /// its sessions (read between steps or after stop).
+  [[nodiscard]] const HealthInfo& health() const { return health_; }
   [[nodiscard]] std::size_t num_sessions() const { return sessions_.size(); }
   /// True once a drain has been latched by the reactor (reactor thread /
   /// between steps only).
   [[nodiscard]] bool draining() const { return draining_; }
-  /// Counters served for kHealth: stats() plus the registry, session,
-  /// checkpoint and drain fields, refreshed at the top of each step.
-  [[nodiscard]] const HealthInfo& health() const { return health_; }
 
   /// Installs the transport wrapper for future accepts. Call before the
   /// reactor runs (not thread safe against a running reactor).
   void set_transport_factory(TransportFactory factory) {
     transport_factory_ = std::move(factory);
-  }
-
-  /// Installs the source of HealthInfo::checkpoint_failures (e.g. summed
-  /// FeedSupervisor stats). Sampled from the reactor thread at the top of
-  /// each step; the callable must be safe to invoke from there. Call before
-  /// the reactor runs (not thread safe against a running reactor).
-  void set_checkpoint_failures_source(std::function<std::uint64_t()> source) {
-    checkpoint_failures_source_ = std::move(source);
   }
 
   /// One poll round: waits up to timeout_ms for events, serves them, and
@@ -114,7 +101,6 @@ class Server {
   void accept_pending(std::uint64_t tick);
   void update_interest(Session& session);
   void drop_closed(int fd);
-  void refresh_health();
   /// Deadline + drain sweep over every session (not just event-active
   /// ones); erases the sessions it closes.
   void sweep_sessions(std::uint64_t tick);
@@ -124,11 +110,9 @@ class Server {
   icn::util::TcpListener listener_;
   icn::util::Fd epoll_;
   icn::util::Fd wakeup_;  ///< eventfd for cross-thread stop()/begin_drain().
-  HealthInfo stats_;   ///< Live reactor counters; sessions add their frames.
-  HealthInfo health_;  ///< Snapshot served for kHealth.
+  HealthInfo health_;  ///< Live counters; sessions bump theirs in place.
   std::unordered_map<int, std::unique_ptr<Session>> sessions_;
   TransportFactory transport_factory_;
-  std::function<std::uint64_t()> checkpoint_failures_source_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;  ///< Reactor-thread latch of drain_requested_.

@@ -28,15 +28,12 @@ bool TokenBucket::try_take() {
 }
 
 Session::Session(std::unique_ptr<Transport> transport,
-                 std::shared_ptr<const ServedSnapshot> pinned,
-                 const SnapshotRegistry* registry, const ServeConfig& config,
-                 HealthInfo& counters, const HealthInfo& health,
-                 std::uint64_t accept_tick)
+                 const SnapshotRegistry& registry, const ServeConfig& config,
+                 HealthInfo& health, std::uint64_t accept_tick)
     : transport_(std::move(transport)),
-      pinned_(std::move(pinned)),
+      pinned_(registry.acquire()),
       registry_(registry),
       config_(config),
-      counters_(counters),
       health_(health),
       bucket_(config.rate_tokens_per_tick, config.rate_burst),
       last_activity_tick_(accept_tick),
@@ -51,14 +48,13 @@ void Session::serve_frame(std::span<const std::uint8_t> payload,
                           std::uint64_t tick) {
   bucket_.advance(tick);
   reply_scratch_.clear();
-  ++counters_.frames_served;  // Every frame gets one reply, typed or kOk.
+  ++health_.frames_served;  // Every frame gets one reply, typed or kOk.
   const DecodedRequest decoded = decode_request(payload);
   const Opcode op = decoded.request ? decoded.request->opcode : Opcode::kPing;
 
   if (shutting_down_) {
     // Drain semantics: queued replies still flush, but frames that arrive
     // (or were buffered) after the drain began are refused, typed.
-    ++counters_.shutdown_rejects;
     append_error_reply(reply_scratch_, decoded.request_id, op,
                        Status::kShuttingDown, pinned_generation(),
                        to_string(Status::kShuttingDown));
@@ -79,12 +75,14 @@ void Session::serve_frame(std::span<const std::uint8_t> payload,
 
   // kHealth is the one opcode the session answers itself: the counters are
   // reactor state, not snapshot state, so the pure dispatch path (which
-  // serves a zeroed HealthInfo) cannot know them. Malformed kHealth bodies
-  // still fall through to dispatch for the typed kBadBody reply.
+  // serves a zeroed body) cannot know them. They are read as they stand,
+  // this frame included. Malformed kHealth bodies still fall through to
+  // dispatch for the typed kBadBody reply.
   if (decoded.request && op == Opcode::kHealth &&
       decoded.request->body.empty()) {
     body_scratch_.clear();
-    append_health_body(body_scratch_, health_);
+    append_health_body(body_scratch_, health_, registry_.generation(),
+                       registry_.degraded_publishes());
     append_reply(reply_scratch_, decoded.request_id, Opcode::kHealth,
                  Status::kOk, pinned_generation(), body_scratch_);
     write_buf_.append(reply_scratch_);
@@ -93,9 +91,9 @@ void Session::serve_frame(std::span<const std::uint8_t> payload,
 
   // kRepin swaps the session's pin *before* dispatch so the reply's
   // generation stamp names the snapshot subsequent requests will read.
-  if (registry_ != nullptr && decoded.request &&
-      op == Opcode::kRepin && decoded.request->body.empty()) {
-    pinned_ = registry_->acquire();
+  if (decoded.request && op == Opcode::kRepin &&
+      decoded.request->body.empty()) {
+    pinned_ = registry_.acquire();
   }
 
   dispatch_request(pinned_.get(), payload, reply_scratch_, config_.max_frame);
@@ -169,8 +167,8 @@ void Session::on_writable(std::uint64_t tick) {
   if (state_ == SessionState::kDraining) close_now();
 }
 
-TickEvent Session::on_tick(std::uint64_t tick) {
-  if (state_ != SessionState::kOpen || shutting_down_) return TickEvent::kNone;
+void Session::on_tick(std::uint64_t tick) {
+  if (state_ != SessionState::kOpen || shutting_down_) return;
 
   if (config_.request_deadline_ticks > 0 && !read_buf_.empty()) {
     // Slow-loris check: the head of the read queue has been an incomplete
@@ -181,18 +179,18 @@ TickEvent Session::on_tick(std::uint64_t tick) {
     if (head.kind == FrameResult::Kind::kNeedMore && wants_read() &&
         tick >= frame_start_tick_ &&
         tick - frame_start_tick_ >= config_.request_deadline_ticks) {
+      ++health_.evicted_deadline;
       evict("request deadline exceeded (incomplete frame)");
-      return TickEvent::kEvictedDeadline;
+      return;
     }
   }
 
   if (config_.idle_deadline_ticks > 0 && read_buf_.empty() &&
       write_buf_.empty() && tick >= last_activity_tick_ &&
       tick - last_activity_tick_ >= config_.idle_deadline_ticks) {
+    ++health_.evicted_idle;
     evict("idle deadline exceeded");
-    return TickEvent::kEvictedIdle;
   }
-  return TickEvent::kNone;
 }
 
 void Session::evict(const char* detail) {

@@ -78,25 +78,17 @@ enum class SessionState : std::uint8_t {
   kClosed,    ///< EOF or hard error; reactor should drop it now.
 };
 
-/// Outcome of one deadline check (Session::on_tick).
-enum class TickEvent : std::uint8_t {
-  kNone,
-  kEvictedIdle,
-  kEvictedDeadline,
-};
-
 class Session {
  public:
   /// `transport` carries the connection and `accept_tick` starts the idle
   /// clock. The rest belongs to the server and must outlive the session:
-  /// `config` holds the limits, `counters` the live totals this session
-  /// adds its frames and shutdown rejects to, and `health` the block it
-  /// serves for kHealth requests.
+  /// `registry` supplies the pin (acquired here) and kHealth's registry
+  /// fields, `config` holds the limits, and `health` is the live counter
+  /// block this session adds its frames and evictions to and serves for
+  /// kHealth requests.
   Session(std::unique_ptr<Transport> transport,
-          std::shared_ptr<const ServedSnapshot> pinned,
-          const SnapshotRegistry* registry, const ServeConfig& config,
-          HealthInfo& counters, const HealthInfo& health,
-          std::uint64_t accept_tick);
+          const SnapshotRegistry& registry, const ServeConfig& config,
+          HealthInfo& health, std::uint64_t accept_tick);
 
   [[nodiscard]] int fd() const { return transport_->fd(); }
   [[nodiscard]] SessionState state() const { return state_; }
@@ -124,10 +116,11 @@ class Session {
   /// already sent.
   bool serve_buffered(std::uint64_t tick);
 
-  /// Deadline check, called once per poll round. An eviction queues a typed
-  /// Status::kDeadline reply and moves the session to kDraining (the reply
-  /// flushes, then the connection closes).
-  TickEvent on_tick(std::uint64_t tick);
+  /// Deadline check, called once per poll round. An eviction counts itself
+  /// in the health block, queues a typed Status::kDeadline reply and moves
+  /// the session to kDraining (the reply flushes, then the connection
+  /// closes).
+  void on_tick(std::uint64_t tick);
 
   /// Server drain: every already-buffered complete frame is answered with a
   /// typed Status::kShuttingDown reject, and so is every frame that still
@@ -159,10 +152,9 @@ class Session {
 
   std::unique_ptr<Transport> transport_;
   std::shared_ptr<const ServedSnapshot> pinned_;
-  const SnapshotRegistry* registry_;  ///< For kRepin; may be null in tests.
+  const SnapshotRegistry& registry_;
   const ServeConfig& config_;
-  HealthInfo& counters_;
-  const HealthInfo& health_;
+  HealthInfo& health_;
   TokenBucket bucket_;
   icn::util::ByteQueue read_buf_;
   icn::util::ByteQueue write_buf_;

@@ -136,7 +136,7 @@ struct FeedStats {
   std::size_t records_rejected = 0;  ///< From the feed's validator.
   std::int64_t covered_hours = 0;
   /// Failed checkpoint append/sync/close attempts (0 on a healthy disk).
-  /// Surfaced study-wide through serve's kHealth.
+  /// Reported through FeedSupervisor::stats(), not through serve's kHealth.
   std::size_t checkpoint_failures = 0;
   /// Windows closed but not yet durable in the checkpoint.
   std::size_t checkpoint_pending = 0;

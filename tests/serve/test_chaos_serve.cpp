@@ -608,13 +608,13 @@ TEST(ServeChaosTest, SlowLorisEvictedAtThePlannedTick) {
   put_u32(partial, 64);
   icn::util::write_all(client.get(), partial);
   server.step(1);  // The partial frame lands; its deadline clock starts.
-  const std::uint64_t start_tick = server.stats().ticks;
+  const std::uint64_t start_tick = server.health().ticks;
 
   std::uint64_t evicted_tick = 0;
   for (int i = 0; i < 50 && evicted_tick == 0; ++i) {
     server.step(1);
-    if (server.stats().evicted_deadline == 1) {
-      evicted_tick = server.stats().ticks;
+    if (server.health().evicted_deadline == 1) {
+      evicted_tick = server.health().ticks;
     }
   }
   // Evicted exactly when the deadline elapses, not a tick early or late.
@@ -652,7 +652,7 @@ TEST(ServeChaosTest, IdleSessionEvictedAfterIdleDeadline) {
 
   for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
   EXPECT_EQ(server.num_sessions(), 0u);
-  EXPECT_EQ(server.stats().evicted_idle, 1u);
+  EXPECT_EQ(server.health().evicted_idle, 1u);
 
   std::vector<std::uint8_t> bytes(256);
   std::size_t at = 0;
@@ -691,8 +691,8 @@ TEST(ServeChaosTest, ActiveSessionIsNotEvicted) {
                        static_cast<std::size_t>(std::max<ssize_t>(0, n)));
   }
   EXPECT_EQ(server.num_sessions(), 1u);
-  EXPECT_EQ(server.stats().evicted_idle, 0u);
-  EXPECT_EQ(server.stats().evicted_deadline, 0u);
+  EXPECT_EQ(server.health().evicted_idle, 0u);
+  EXPECT_EQ(server.health().evicted_deadline, 0u);
 }
 
 // --- Graceful drain ------------------------------------------------------
@@ -735,12 +735,15 @@ TEST(ServeChaosTest, GracefulDrainFlushesThenRejectsTyped) {
     EXPECT_EQ(first->status, Status::kOk);
   }
 
-  // Two pipelined requests land in the socket, then the drain begins.
+  // Three pipelined requests land in the socket, then the drain begins.
+  // kHealth, which the session answers itself, is refused like the rest.
   std::vector<std::uint8_t> burst;
   const auto r2 = build_request(2, Opcode::kPing);
   const auto r3 = build_request(3, Opcode::kInfo);
+  const auto r4 = build_request(4, Opcode::kHealth);
   burst.insert(burst.end(), r2.begin(), r2.end());
   burst.insert(burst.end(), r3.begin(), r3.end());
+  burst.insert(burst.end(), r4.begin(), r4.end());
   icn::util::write_all(client.get(), burst);
   server.begin_drain();
   for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
@@ -749,12 +752,12 @@ TEST(ServeChaosTest, GracefulDrainFlushesThenRejectsTyped) {
 
   // New connections are refused, typed.
   icn::util::Fd late = icn::util::connect_loopback(server.port());
-  for (int i = 0; i < 20 && server.stats().connections_refused == 0; ++i) {
+  for (int i = 0; i < 20 && server.health().connections_refused == 0; ++i) {
     server.step(1);
   }
-  EXPECT_EQ(server.stats().connections_refused, 1u);
+  EXPECT_EQ(server.health().connections_refused, 1u);
 
-  // The draining client saw two typed kShuttingDown rejects for the
+  // The draining client saw three typed kShuttingDown rejects for the
   // in-flight requests, then EOF (the kOk reply was consumed above).
   std::vector<std::uint8_t> bytes(4096);
   std::size_t at = 0;
@@ -778,12 +781,14 @@ TEST(ServeChaosTest, GracefulDrainFlushesThenRejectsTyped) {
     ASSERT_TRUE(reply.has_value());
     replies.push_back(*reply);
   }
-  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_EQ(replies.size(), 3u);
   EXPECT_EQ(replies[0].request_id, 2u);
   EXPECT_EQ(replies[0].status, Status::kShuttingDown);
   EXPECT_EQ(replies[1].request_id, 3u);
   EXPECT_EQ(replies[1].status, Status::kShuttingDown);
-  EXPECT_EQ(server.stats().shutdown_rejects, 2u);
+  EXPECT_EQ(replies[2].request_id, 4u);
+  EXPECT_EQ(replies[2].opcode, Opcode::kHealth);
+  EXPECT_EQ(replies[2].status, Status::kShuttingDown);
 
   // The typed refusal for the late connection.
   std::vector<std::uint8_t> late_bytes(512);
@@ -861,27 +866,21 @@ TEST(ServeChaosTest, CorruptedPublishKeepsPriorGenerationServing) {
   // degradation.
   Server server(ServeConfig{}, registry);
   icn::util::Fd client = icn::util::connect_loopback(server.port());
+  ReplyPump pump(server, client.get());
   icn::util::write_all(client.get(), build_request(5, Opcode::kInfo));
-  icn::util::ByteQueue stream;
-  std::vector<std::uint8_t> payload;
-  for (int i = 0; i < 200 && payload.empty(); ++i) {
-    server.step(1);
-    auto span = stream.grow_tail(4096);
-    const ssize_t n = ::recv(client.get(), span.data(), span.size(),
-                             MSG_DONTWAIT);
-    stream.shrink_tail(span.size() -
-                       static_cast<std::size_t>(std::max<ssize_t>(0, n)));
-    const FrameResult frame = try_parse_frame(stream.data(), kDefaultMaxFrame);
-    if (frame.kind == FrameResult::Kind::kFrame) {
-      payload.assign(frame.payload.begin(), frame.payload.end());
-      stream.consume(frame.consumed);
-    }
-  }
-  const auto reply = decode_reply(payload);
+  icn::util::write_all(client.get(), build_request(6, Opcode::kHealth));
+  pump(2);
+  ASSERT_EQ(pump.payloads.size(), 2u);
+  const auto reply = decode_reply(pump.payloads[0]);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kOk);
   EXPECT_EQ(reply->generation, 1u);
-  EXPECT_EQ(server.health().degraded_publishes, 1u);
+  const auto health = decode_reply(pump.payloads[1]);
+  ASSERT_TRUE(health.has_value());
+  ASSERT_EQ(health->body.size(), kHealthBodySize);
+  std::uint64_t degraded_publishes = 0;
+  std::memcpy(&degraded_publishes, health->body.data() + 16, 8);
+  EXPECT_EQ(degraded_publishes, 1u);
 }
 
 // --- kHealth -------------------------------------------------------------
@@ -896,8 +895,7 @@ TEST(ServeChaosTest, HealthOpcodeReportsLiveCounters) {
 
   ReplyPump pump(server, client.get());
 
-  // A ping first — fully served before the health call, so the health_
-  // block refreshed at the top of a later step already counts it.
+  // A ping first, fully served before the health call.
   icn::util::write_all(client.get(), build_request(1, Opcode::kPing));
   pump(1);
   ASSERT_EQ(pump.payloads.size(), 1u);
@@ -921,7 +919,9 @@ TEST(ServeChaosTest, HealthOpcodeReportsLiveCounters) {
   EXPECT_EQ(version, kProtocolVersion);
   EXPECT_EQ(open_sessions, 1u);
   EXPECT_EQ(latest_generation, 1u);
-  EXPECT_GE(frames_served, 1u);  // The ping, served before this health call.
+  // The counters are read as they stand when the reply is built: the ping
+  // and this kHealth frame itself.
+  EXPECT_EQ(frames_served, 2u);
 
   // The pure dispatch path answers kHealth with zeroed counters — total,
   // never crashing, excluded from the live comparison.
@@ -930,53 +930,11 @@ TEST(ServeChaosTest, HealthOpcodeReportsLiveCounters) {
   const std::vector<std::uint8_t> health_payload(health_frame.begin() + 4,
                                                  health_frame.end());
   const auto oracle = deterministic_reply(snap.get(), health_payload);
-  ASSERT_GE(oracle.size(), kFrameHeaderSize + kReplyHeaderSize + 56);
+  ASSERT_EQ(oracle.size(),
+            kFrameHeaderSize + kReplyHeaderSize + kHealthBodySize);
   std::uint64_t oracle_frames = 0;
   std::memcpy(&oracle_frames, oracle.data() + 4 + kReplyHeaderSize + 48, 8);
   EXPECT_EQ(oracle_frames, 0u);
-}
-
-TEST(ServeChaosTest, HealthSurfacesCheckpointFailuresFromInstalledSource) {
-  TempFile file("health_ckpt.snap");
-  write_flavored_snapshot(file.path(), 0);
-  SnapshotRegistry registry;
-  registry.publish_file(file.path());
-  Server server(ServeConfig{}, registry);
-  // The durability layer (summed FeedSupervisor stats) plugs in here; the
-  // reactor samples it at the top of each step.
-  std::uint64_t upstream_failures = 7;
-  server.set_checkpoint_failures_source(
-      [&upstream_failures] { return upstream_failures; });
-  icn::util::Fd client = icn::util::connect_loopback(server.port());
-
-  ReplyPump pump(server, client.get());
-
-  icn::util::write_all(client.get(), build_request(1, Opcode::kHealth));
-  pump(1);
-  ASSERT_EQ(pump.payloads.size(), 1u);
-  const auto health = decode_reply(pump.payloads[0]);
-  ASSERT_TRUE(health.has_value());
-  EXPECT_EQ(health->status, Status::kOk);
-  ASSERT_EQ(health->body.size(), kHealthBodySize);
-  // Layout: u32 version, u32 open_sessions, then 11 u64 counters —
-  // checkpoint_failures is the 11th (offset 88), before the draining flag.
-  std::uint64_t checkpoint_failures = 0;
-  std::memcpy(&checkpoint_failures, health->body.data() + 88, 8);
-  EXPECT_EQ(checkpoint_failures, 7u);
-  std::uint8_t draining = 0;
-  std::memcpy(&draining, health->body.data() + 96, 1);
-  EXPECT_EQ(draining, 0);
-
-  // The counter is sampled live, not latched at accept time.
-  upstream_failures = 19;
-  icn::util::write_all(client.get(), build_request(2, Opcode::kHealth));
-  pump(2);
-  ASSERT_EQ(pump.payloads.size(), 2u);
-  const auto refreshed = decode_reply(pump.payloads[1]);
-  ASSERT_TRUE(refreshed.has_value());
-  ASSERT_EQ(refreshed->body.size(), kHealthBodySize);
-  std::memcpy(&checkpoint_failures, refreshed->body.data() + 88, 8);
-  EXPECT_EQ(checkpoint_failures, 19u);
 }
 
 TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
@@ -989,7 +947,6 @@ TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
   config.idle_deadline_ticks = 4;
   config.request_deadline_ticks = 2;
   Server server(config, registry);
-  server.set_checkpoint_failures_source([] { return std::uint64_t{7}; });
 
   // A silent client holds the only slot, so the next three connections are
   // refused; the holder is then evicted at its idle deadline.
@@ -1000,11 +957,11 @@ TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
   for (int i = 0; i < 3; ++i) {
     refused.push_back(icn::util::connect_loopback(server.port()));
   }
-  for (int i = 0; i < 20 && server.stats().connections_refused < 3; ++i) {
+  for (int i = 0; i < 20 && server.health().connections_refused < 3; ++i) {
     server.step(1);
   }
   for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
-  ASSERT_EQ(server.stats().evicted_idle, 1u);
+  ASSERT_EQ(server.health().evicted_idle, 1u);
 
   // A slow loris takes the freed slot and is evicted at its request deadline.
   icn::util::Fd loris = icn::util::connect_loopback(server.port());
@@ -1014,7 +971,7 @@ TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
   put_u32(partial, 64);
   icn::util::write_all(loris.get(), partial);
   for (int i = 0; i < 50 && server.num_sessions() > 0; ++i) server.step(1);
-  ASSERT_EQ(server.stats().evicted_deadline, 1u);
+  ASSERT_EQ(server.health().evicted_deadline, 1u);
 
   // A failed publish keeps generation 1 serving and counts as degraded.
   EXPECT_EQ(registry.try_publish_file(file.path() + ".missing"), 0u);
@@ -1032,37 +989,42 @@ TEST(ServeChaosTest, HealthReplyMirrorsEveryReactorCounter) {
   EXPECT_EQ(health->status, Status::kOk);
   ASSERT_EQ(health->body.size(), kHealthBodySize);
 
-  // The reply was served in the last step, from the block refreshed at its
-  // top, so it must equal server.health() field for field. Layout: u32
-  // version, u32 open_sessions, 11 u64 counters, then the draining byte.
+  // The reply was built in the last step from the live block, which
+  // nothing has bumped since, so its counters must equal server.health()
+  // field for field and its registry fields the registry. Layout: u32
+  // version, u32 open sessions, u64 latest generation, u64 degraded
+  // publishes, then the seven u64 counters.
   const HealthInfo& expected = server.health();
   const std::uint8_t* body = health->body.data();
   std::uint32_t open_sessions = 0;
   std::memcpy(&open_sessions, body + 4, 4);
-  EXPECT_EQ(open_sessions, expected.open_sessions);
+  EXPECT_EQ(open_sessions, server.num_sessions());
   EXPECT_EQ(open_sessions, 1u);
+  std::uint64_t latest_generation = 0;
+  std::uint64_t degraded_publishes = 0;
+  std::memcpy(&latest_generation, body + 8, 8);
+  std::memcpy(&degraded_publishes, body + 16, 8);
+  EXPECT_EQ(latest_generation, registry.generation());
+  EXPECT_EQ(latest_generation, 1u);
+  EXPECT_EQ(degraded_publishes, registry.degraded_publishes());
+  EXPECT_EQ(degraded_publishes, 1u);
   constexpr std::uint64_t HealthInfo::*kCounters[] = {
-      &HealthInfo::latest_generation,    &HealthInfo::degraded_publishes,
       &HealthInfo::connections_accepted, &HealthInfo::connections_refused,
       &HealthInfo::connections_closed,   &HealthInfo::frames_served,
       &HealthInfo::ticks,                &HealthInfo::evicted_idle,
-      &HealthInfo::evicted_deadline,     &HealthInfo::shutdown_rejects,
-      &HealthInfo::checkpoint_failures,
+      &HealthInfo::evicted_deadline,
   };
+  static_assert(24 + 8 * std::size(kCounters) == kHealthBodySize);
   for (std::size_t i = 0; i < std::size(kCounters); ++i) {
     std::uint64_t got = 0;
-    std::memcpy(&got, body + 8 + 8 * i, 8);
+    std::memcpy(&got, body + 24 + 8 * i, 8);
     EXPECT_EQ(got, expected.*kCounters[i]) << "u64 counter " << i;
-    // Only shutdown_rejects needs a drain, which would refuse this request.
-    if (kCounters[i] != &HealthInfo::shutdown_rejects) {
-      EXPECT_GT(got, 0u) << "u64 counter " << i << " was never driven";
-    }
+    EXPECT_GT(got, 0u) << "u64 counter " << i << " was never driven";
   }
-  EXPECT_EQ(body[8 + 8 * std::size(kCounters)], expected.draining);
   EXPECT_EQ(expected.connections_refused, 3u);
   EXPECT_EQ(expected.connections_closed, 2u);
+  EXPECT_EQ(expected.frames_served, 2u);  // The ping and this kHealth.
   EXPECT_EQ(expected.evicted_idle, 1u);
-  EXPECT_EQ(expected.checkpoint_failures, 7u);
 }
 
 // --- Concurrent chaos soak -----------------------------------------------

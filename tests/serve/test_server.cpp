@@ -164,8 +164,8 @@ TEST(ServeServerTest, PingBeforeAnyPublishServesGenerationZero) {
   EXPECT_EQ(reply->request_id, 7u);
   EXPECT_EQ(reply->status, Status::kOk);
   EXPECT_EQ(reply->generation, 0u);
-  EXPECT_EQ(server.stats().connections_accepted, 1u);
-  EXPECT_EQ(server.stats().frames_served, 1u);
+  EXPECT_EQ(server.health().connections_accepted, 1u);
+  EXPECT_EQ(server.health().frames_served, 1u);
 }
 
 TEST(ServeServerTest, MalformedBodyGetsTypedReplyAndConnectionSurvives) {
@@ -235,7 +235,7 @@ TEST(ServeServerTest, AdmissionControlRefusesBeyondMaxConnections) {
   const auto reply = decode_reply(payload);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kServerFull);
-  EXPECT_EQ(server.stats().connections_refused, 1u);
+  EXPECT_EQ(server.health().connections_refused, 1u);
   EXPECT_EQ(server.num_sessions(), 1u);
 }
 
@@ -359,7 +359,9 @@ TEST(ServeServerTest, EnvConfigRejectsGarbage) {
   ::setenv("ICN_SERVE_RATE", "7", 1);
   const ServeConfig config = ServeConfig::from_env();
   EXPECT_EQ(config.rate_tokens_per_tick, 7u);
-  EXPECT_EQ(config.rate_burst, 7u);  // Defaults to the rate when unset.
+  // An unset burst leaves the bucket at the rate.
+  const TokenBucket bucket(config.rate_tokens_per_tick, config.rate_burst);
+  EXPECT_EQ(bucket.tokens(), 7u);
   ::unsetenv("ICN_SERVE_RATE");
 }
 
@@ -686,8 +688,8 @@ TEST(ServeIntegrationTest, ConcurrentClientsStayByteExactAcrossHotSwaps) {
   }
   EXPECT_EQ(checked, kClients * kRequestsPerClient);
   EXPECT_TRUE(generation_seen[1]);  // Everyone started pinned at gen 1...
-  EXPECT_EQ(server.stats().frames_served, kClients * kRequestsPerClient);
-  EXPECT_EQ(server.stats().connections_accepted, kClients);
+  EXPECT_EQ(server.health().frames_served, kClients * kRequestsPerClient);
+  EXPECT_EQ(server.health().connections_accepted, kClients);
 }
 
 }  // namespace

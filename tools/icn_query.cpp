@@ -121,7 +121,9 @@ void print_error(const icn::serve::Reply& reply) {
                detail.empty() ? "" : ": ", detail.c_str());
 }
 
-int print_reply(Opcode opcode, const icn::serve::Reply& reply) {
+/// `all_rows` tells a kCoverage summary from a per-row reply: their body
+/// sizes coincide when the row has exactly one gap.
+int print_reply(Opcode opcode, bool all_rows, const icn::serve::Reply& reply) {
   if (reply.status != Status::kOk) {
     print_error(reply);
     return 1;
@@ -197,7 +199,7 @@ int print_reply(Opcode opcode, const icn::serve::Reply& reply) {
       break;
     }
     case Opcode::kCoverage: {
-      if (reply.body.size() == 4 + 8 + 8 + 8) {
+      if (all_rows) {
         const auto rows = body.take<std::uint32_t>();
         const auto hours = body.take<std::int64_t>();
         const auto covered = body.take<std::uint64_t>();
@@ -212,7 +214,7 @@ int print_reply(Opcode opcode, const icn::serve::Reply& reply) {
         for (std::uint32_t g = 0; g < gaps; ++g) {
           const auto first = body.take<std::int64_t>();
           const auto last = body.take<std::int64_t>();
-          std::printf("  gap hours [%" PRId64 ", %" PRId64 "]\n", first, last);
+          std::printf("  gap hours [%" PRId64 ", %" PRId64 ")\n", first, last);
         }
       }
       break;
@@ -237,11 +239,7 @@ int print_reply(Opcode opcode, const icn::serve::Reply& reply) {
       const auto ticks = body.take<std::uint64_t>();
       const auto evicted_idle = body.take<std::uint64_t>();
       const auto evicted_deadline = body.take<std::uint64_t>();
-      const auto shutdown_rejects = body.take<std::uint64_t>();
-      const auto checkpoint_failures = body.take<std::uint64_t>();
-      const auto draining = body.take<std::uint8_t>();
-      std::printf("protocol v%u, %s\n", version,
-                  draining ? "draining" : "serving");
+      std::printf("protocol v%u\n", version);
       std::printf("sessions %u open, latest generation %" PRIu64
                   ", degraded publishes %" PRIu64 "\n",
                   open_sessions, latest_generation, degraded_publishes);
@@ -250,10 +248,8 @@ int print_reply(Opcode opcode, const icn::serve::Reply& reply) {
                   accepted, refused, closed);
       std::printf("frames served %" PRIu64 " over %" PRIu64 " tick(s)\n",
                   frames_served, ticks);
-      std::printf("evictions: %" PRIu64 " idle, %" PRIu64
-                  " deadline; shutdown rejects %" PRIu64 "\n",
-                  evicted_idle, evicted_deadline, shutdown_rejects);
-      std::printf("checkpoint failures %" PRIu64 "\n", checkpoint_failures);
+      std::printf("evictions: %" PRIu64 " idle, %" PRIu64 " deadline\n",
+                  evicted_idle, evicted_deadline);
       break;
     }
     case Opcode::kRepin: {
@@ -304,6 +300,7 @@ int main(int argc, char** argv) {
 
   Opcode opcode{};
   std::vector<std::uint8_t> request_body;
+  bool all_rows = false;
   if (command == "ping") {
     opcode = Opcode::kPing;
   } else if (command == "info") {
@@ -329,8 +326,10 @@ int main(int argc, char** argv) {
         argc == 5 ? parse_u32("max_services", argv[4]) : 0);
   } else if (command == "coverage" && (argc == 3 || argc == 4)) {
     opcode = Opcode::kCoverage;
-    request_body = icn::serve::make_coverage_body(
-        argc == 4 ? parse_u32("row", argv[3]) : icn::serve::kAllRows);
+    const std::uint32_t row =
+        argc == 4 ? parse_u32("row", argv[3]) : icn::serve::kAllRows;
+    all_rows = row == icn::serve::kAllRows;
+    request_body = icn::serve::make_coverage_body(row);
   } else if (command == "quarantine") {
     opcode = Opcode::kQuarantine;
   } else if (command == "health") {
@@ -351,7 +350,7 @@ int main(int argc, char** argv) {
         options.max_attempts > 1
             ? client.call_idempotent(opcode, request_body, 1)
             : client.call(opcode, request_body, 1);
-    return print_reply(opcode, reply);
+    return print_reply(opcode, all_rows, reply);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "icn_query: %s\n", e.what());
     return 2;
