@@ -168,8 +168,7 @@ void BM_ServeFaultyThroughput(benchmark::State& state) {
     std::uint32_t id = 1;
     std::size_t reply_bytes = 0;
     for (auto _ : state) {
-      const serve::Reply reply =
-          client.call_idempotent(serve::Opcode::kSlice, body, id++);
+      const serve::Reply reply = client.call(serve::Opcode::kSlice, body, id++);
       benchmark::DoNotOptimize(reply.generation);
       reply_bytes += serve::kReplyHeaderSize + reply.body.size();
     }

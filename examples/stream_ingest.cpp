@@ -27,6 +27,7 @@
 #include "probe/gtp.h"
 #include "probe/probe.h"
 #include "stream/ingest.h"
+#include "stream/supervise.h"
 #include "traffic/flows.h"
 #include "util/table.h"
 
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
   }
 
   const store::MappedSnapshot snapshot(snap);
-  const ml::Matrix recovered = stream::totals_from_snapshot(snapshot);
+  const ml::Matrix recovered = stream::read_study(snapshot).traffic;
   bool identical = recovered.data().size() == reference.data().size();
   for (std::size_t i = 0; identical && i < reference.data().size(); ++i) {
     identical = recovered.data()[i] == reference.data()[i];

@@ -6,7 +6,6 @@
 #include "core/rca.h"
 #include "ml/hungarian.h"
 #include "store/snapshot.h"
-#include "stream/ingest.h"
 #include "stream/supervise.h"
 #include "util/error.h"
 #include "util/stats.h"
@@ -125,18 +124,14 @@ namespace {
 
 /// Shared degraded-aware back-end of the snapshot entry points: builds the
 /// coverage accounting and analyzes the surviving submatrix.
-SnapshotPipelineResult analyze_with_coverage(ml::Matrix traffic,
-                                             const stream::CoverageMask& mask,
-                                             std::span<const std::uint32_t> ids,
-                                             const PipelineParams& params,
-                                             std::uint64_t records_rejected,
-                                             std::uint64_t records_repaired) {
+SnapshotPipelineResult analyze_study(stream::MergedStudy study,
+                                     const PipelineParams& params) {
   SnapshotPipelineResult result;
-  result.traffic = std::move(traffic);
-  result.coverage =
-      build_coverage_report(mask, ids, params.min_antenna_coverage);
-  result.coverage.records_rejected = records_rejected;
-  result.coverage.records_repaired = records_repaired;
+  result.coverage = build_coverage_report(study.coverage, study.antenna_ids,
+                                          params.min_antenna_coverage);
+  result.coverage.records_rejected = study.quarantine.total_rejected();
+  result.coverage.records_repaired = study.quarantine.total_repaired();
+  result.traffic = std::move(study.traffic);
   const auto& rows = result.coverage.analyzed_rows;
   ICN_REQUIRE(!rows.empty(), "every antenna fell below the coverage "
                              "threshold; nothing left to analyze");
@@ -149,72 +144,18 @@ SnapshotPipelineResult analyze_with_coverage(ml::Matrix traffic,
   return result;
 }
 
-/// Coverage mask of a single mapped snapshot: its kCoverage section when
-/// present (one row broadcast to every antenna, or one row per antenna),
-/// full coverage otherwise.
-stream::CoverageMask snapshot_coverage(const store::MappedSnapshot& snapshot,
-                                       std::size_t rows,
-                                       const std::string& path) {
-  const auto section = snapshot.coverage();
-  if (!section) {
-    // Hour count only scales the cell totals of a complete report.
-    const auto meta = snapshot.stream_meta();
-    return stream::CoverageMask::full(rows, meta ? meta->num_hours : 1);
-  }
-  stream::CoverageMask mask(rows, section->num_hours);
-  if (section->rows == 1) {
-    for (std::size_t row = 0; row < rows; ++row) {
-      mask.set_row(row, section->covered);
-    }
-    return mask;
-  }
-  if (section->rows != rows) {
-    throw store::SnapshotError("snapshot " + path +
-                               ": kCoverage rows do not match the tensor");
-  }
-  const std::size_t hours = static_cast<std::size_t>(section->num_hours);
-  for (std::size_t row = 0; row < rows; ++row) {
-    mask.set_row(row, section->covered.subspan(row * hours, hours));
-  }
-  return mask;
-}
-
 }  // namespace
 
 SnapshotPipelineResult run_pipeline_from_snapshot(
     const std::string& path, const PipelineParams& params) {
-  const store::MappedSnapshot snapshot(path);
-  ml::Matrix traffic;
-  if (const auto matrix = snapshot.matrix()) {
-    traffic = matrix->to_matrix();
-  } else if (snapshot.stream_meta()) {
-    traffic = stream::totals_from_snapshot(snapshot);
-  } else {
-    throw store::SnapshotError("snapshot " + path +
-                               ": no kMatrix or kStreamMeta section");
-  }
-  const auto meta = snapshot.stream_meta();
-  const std::span<const std::uint32_t> ids =
-      meta ? meta->antenna_ids : std::span<const std::uint32_t>{};
-  const stream::CoverageMask mask =
-      snapshot_coverage(snapshot, traffic.rows(), path);
-  std::uint64_t rejected = 0;
-  std::uint64_t repaired = 0;
-  if (const auto quarantine = snapshot.quarantine()) {
-    for (const std::uint32_t n : quarantine->rejected) rejected += n;
-    for (const std::uint32_t n : quarantine->repaired) repaired += n;
-  }
-  return analyze_with_coverage(std::move(traffic), mask, ids, params,
-                               rejected, repaired);
+  // The mapping is released before the analysis starts.
+  stream::MergedStudy study = stream::read_study(store::MappedSnapshot(path));
+  return analyze_study(std::move(study), params);
 }
 
 SnapshotPipelineResult run_pipeline_from_snapshots(
     std::span<const std::string> paths, const PipelineParams& params) {
-  stream::MergedStudy study = stream::merge_snapshots(paths);
-  return analyze_with_coverage(std::move(study.traffic), study.coverage,
-                               study.antenna_ids, params,
-                               study.quarantine.total_rejected(),
-                               study.quarantine.total_repaired());
+  return analyze_study(stream::merge_snapshots(paths), params);
 }
 
 }  // namespace icn::core

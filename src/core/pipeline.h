@@ -130,12 +130,13 @@ struct SnapshotPipelineResult {
   TrafficAnalysis analysis;  ///< Same back-end as run_pipeline.
 };
 
-/// Loads the demand T matrix from a store snapshot at `path` — either a
-/// kMatrix section or, for ingest checkpoints, the fold of all kWindow
-/// sections — and runs the analysis back-end on it. A kCoverage section
-/// switches on degraded mode (see CoverageReport). params.scenario is
-/// ignored (the snapshot replaces synthesis). Throws store::SnapshotError on
-/// a corrupt/truncated snapshot or one carrying no tensor.
+/// Reads the study in the store snapshot at `path` (stream::read_study: the
+/// T matrix is a kMatrix section or, for ingest checkpoints, the fold of
+/// all kWindow sections) and runs the analysis back-end on it. A kCoverage
+/// section switches on degraded mode (see CoverageReport). params.scenario
+/// is ignored (the snapshot replaces synthesis). Throws store::SnapshotError
+/// on a corrupt/truncated snapshot, one whose sections disagree with its
+/// kStreamMeta, or one carrying no tensor.
 [[nodiscard]] SnapshotPipelineResult run_pipeline_from_snapshot(
     const std::string& path, const PipelineParams& params);
 

@@ -141,29 +141,23 @@ void QueryClient::read_frame() {
 Reply QueryClient::call(Opcode opcode, std::span<const std::uint8_t> body,
                         std::uint32_t request_id) {
   request_scratch_ = build_request(request_id, opcode, body);
-  try {
-    icn::util::write_all(fd_.get(), request_scratch_);
-  } catch (const icn::util::IoError& e) {
-    throw ClientError(ClientErrorKind::kWriteFailed, e.what());
-  }
-  read_frame();
-  const std::optional<Reply> reply = decode_reply(reply_payload_);
-  if (!reply) {
-    throw ClientError(ClientErrorKind::kMalformedReply,
-                      "serve client: malformed reply frame (" +
-                          std::to_string(reply_payload_.size()) +
-                          " payload bytes)");
-  }
-  return *reply;
-}
-
-Reply QueryClient::call_idempotent(Opcode opcode,
-                                   std::span<const std::uint8_t> body,
-                                   std::uint32_t request_id) {
   const std::uint32_t attempts = std::max<std::uint32_t>(1, options_.max_attempts);
   for (std::uint32_t attempt = 0;; ++attempt) {
     try {
-      return call(opcode, body, request_id);
+      try {
+        icn::util::write_all(fd_.get(), request_scratch_);
+      } catch (const icn::util::IoError& e) {
+        throw ClientError(ClientErrorKind::kWriteFailed, e.what());
+      }
+      read_frame();
+      const std::optional<Reply> reply = decode_reply(reply_payload_);
+      if (!reply) {
+        throw ClientError(ClientErrorKind::kMalformedReply,
+                          "serve client: malformed reply frame (" +
+                              std::to_string(reply_payload_.size()) +
+                              " payload bytes)");
+      }
+      return *reply;
     } catch (const ClientError&) {
       if (attempt + 1 >= attempts) throw;
     }

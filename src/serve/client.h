@@ -8,10 +8,11 @@
 //
 // Resilience: every failure mode is a typed ClientError (never a hang or a
 // garbage decode), connects and reads honor deadlines, and because every
-// query opcode is an idempotent read, call_idempotent() may safely tear the
-// connection down and re-send after a transport fault — with capped
-// exponential backoff and deterministic jitter, so retry storms from many
-// clients de-synchronize identically on every run of a seeded test.
+// query opcode is an idempotent read, call() may safely tear the connection
+// down and re-send after a transport fault when the options allow more than
+// one attempt — with capped exponential backoff and deterministic jitter, so
+// retry storms from many clients de-synchronize identically on every run of
+// a seeded test.
 #pragma once
 
 #include <cstdint>
@@ -77,18 +78,14 @@ class QueryClient {
 
   /// Sends one request and blocks for its reply. Returns the decoded reply
   /// (its body span points into last_reply_payload(), valid until the next
-  /// call); throws ClientError if the transport fails or the reply frame is
-  /// malformed (a server bug, not a query error — query errors come back as
-  /// typed Status values).
+  /// call). On a transport fault or a malformed reply frame (a server bug,
+  /// not a query error — query errors come back as typed Status values) it
+  /// tears the connection down, reconnects with backoff, and re-sends — safe
+  /// because every query opcode is an idempotent read — and throws the last
+  /// ClientError once options.max_attempts attempts are spent (the default
+  /// of 1 rethrows the first).
   Reply call(Opcode opcode, std::span<const std::uint8_t> body,
              std::uint32_t request_id);
-
-  /// Like call(), but on a transport fault tears the connection down,
-  /// reconnects with backoff, and re-sends — safe because every query
-  /// opcode is an idempotent read. Throws the last ClientError once
-  /// options.max_attempts attempts are spent.
-  Reply call_idempotent(Opcode opcode, std::span<const std::uint8_t> body,
-                        std::uint32_t request_id);
 
   /// Raw variant: sends pre-built frame bytes and returns the raw reply
   /// payload (no decoding). Used by the byte-exactness and fuzz tests.
@@ -99,7 +96,7 @@ class QueryClient {
     return reply_payload_;
   }
 
-  /// Successful reconnects performed by call_idempotent().
+  /// Successful reconnects performed by call().
   [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
  private:

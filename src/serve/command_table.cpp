@@ -62,28 +62,19 @@ Status run_slice(const ServedSnapshot& snap, BodyReader& in,
   const std::size_t services =
       *service == kAllServices ? snap.num_services() : 1;
 
+  // The map checked every section against kStreamMeta, so the meta shape
+  // the arguments were validated against indexes the matrix and windows.
+  const std::size_t first =
+      *row * snap.num_services() + (*service == kAllServices ? 0 : *service);
   if (*hour_first == kTotalsHours && *hour_last == kTotalsHours) {
     // Totals mode: one row of the kMatrix tensor, straight off the mapping.
-    // Bounds come from the matrix's *own* header dims, not the kStreamMeta
-    // shape the row/service arguments were validated against: each section
-    // is only self-validated, so a snapshot can carry a smaller matrix than
-    // its meta claims. Cells outside the matrix read as 0.0, mirroring the
-    // short-window fallback below.
     if (!snap.matrix()) return Status::kNoSection;
-    const auto& m = *snap.matrix();
     put_u32(body, 0);  // count_hours == 0 marks a totals reply.
     put_u32(body, static_cast<std::uint32_t>(services));
     const auto at = body.size();
-    body.resize(at + services * 8);  // Value-initialized: zero fill.
-    if (*row < m.rows) {
-      const double* src = m.values.data() + *row * m.cols;
-      if (*service == kAllServices) {
-        std::memcpy(body.data() + at, src,
-                    std::min<std::size_t>(services, m.cols) * 8);
-      } else if (*service < m.cols) {
-        std::memcpy(body.data() + at, src + *service, 8);
-      }
-    }
+    body.resize(at + services * 8);
+    std::memcpy(body.data() + at, snap.matrix()->values.data() + first,
+                services * 8);
     return Status::kOk;
   }
 
@@ -100,23 +91,12 @@ Status run_slice(const ServedSnapshot& snap, BodyReader& in,
   for (std::int64_t h = *hour_first; h < *hour_last; ++h) {
     const std::ptrdiff_t w = snap.window_for_hour(h);
     const auto at = body.size();
-    body.resize(at + services * 8);
-    if (w < 0) {
-      std::memset(body.data() + at, 0, services * 8);
-      continue;
-    }
-    const auto& cells = snap.windows()[static_cast<std::size_t>(w)].cells;
-    const std::size_t base = *row * snap.num_services();
-    if (base + snap.num_services() > cells.size()) {
-      // A window sized for fewer antennas than the study roster (e.g. a
-      // single-probe checkpoint served directly): rows past it read as 0.
-      std::memset(body.data() + at, 0, services * 8);
-      continue;
-    }
-    if (*service == kAllServices) {
-      std::memcpy(body.data() + at, cells.data() + base, services * 8);
-    } else {
-      std::memcpy(body.data() + at, cells.data() + base + *service, 8);
+    body.resize(at + services * 8);  // Value-initialized: zero fill.
+    if (w >= 0) {
+      std::memcpy(body.data() + at,
+                  snap.windows()[static_cast<std::size_t>(w)].cells.data() +
+                      first,
+                  services * 8);
     }
   }
   return Status::kOk;
@@ -170,21 +150,20 @@ Status run_coverage(const ServedSnapshot& snap, BodyReader& in,
   const auto total_cells =
       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(hours);
 
+  // With a kStreamMeta the map checked the section's shape: 1 or `rows`
+  // rows of `hours` hours. Without one `hours` is 0 and a kCoverage section
+  // indexes nothing the meta shape names.
+  const bool bitmap = snap.coverage() && hours > 0;
   if (*row == kAllRows) {
     // Summary. A snapshot without a kCoverage section is fully covered by
     // construction (the writer only seals one when coverage is incomplete).
     std::uint64_t covered = total_cells;
-    if (snap.coverage()) {
+    if (bitmap) {
       const auto& cov = *snap.coverage();
       covered = 0;
       for (const std::uint8_t bit : cov.covered) covered += bit;
-      if (cov.rows == 1 && rows > 1) {
-        // Probe-level bitmap: every antenna shares the hour coverage.
-        covered *= rows;
-      }
-      // A section carrying more hours than the meta claims could otherwise
-      // report covered > total.
-      covered = std::min(covered, total_cells);
+      // Probe-level bitmap: every antenna shares the hour coverage.
+      if (cov.rows == 1) covered *= rows;
     }
     put_u32(body, static_cast<std::uint32_t>(rows));
     put_i64(body, hours);
@@ -196,35 +175,26 @@ Status run_coverage(const ServedSnapshot& snap, BodyReader& in,
   if (*row >= rows) return Status::kOutOfRange;
   double fraction = 1.0;
   std::vector<std::pair<std::int64_t, std::int64_t>> gaps;
-  if (snap.coverage() && hours > 0) {
+  if (bitmap) {
     const auto& cov = *snap.coverage();
-    const std::size_t cov_row = cov.rows == 1 ? 0 : *row;
-    if (cov_row < cov.rows && cov.num_hours > 0) {
-      // Stride and scan bound come from the section's own header, not the
-      // kStreamMeta hour count: the two are each only self-validated and can
-      // disagree, and a meta-derived stride would walk past the bitmap.
-      // Meta hours beyond the bitmap read as uncovered.
-      const std::uint8_t* bits =
-          cov.covered.data() +
-          cov_row * static_cast<std::size_t>(cov.num_hours);
-      const std::int64_t scan = std::min<std::int64_t>(cov.num_hours, hours);
-      std::int64_t covered = 0;
-      std::int64_t gap_start = -1;
-      for (std::int64_t h = 0; h < scan; ++h) {
-        if (bits[h] != 0) {
-          covered += 1;
-          if (gap_start >= 0) {
-            gaps.emplace_back(gap_start, h);
-            gap_start = -1;
-          }
-        } else if (gap_start < 0) {
-          gap_start = h;
+    const std::uint8_t* bits = cov.covered.data() +
+                               (cov.rows == 1 ? 0 : *row) *
+                                   static_cast<std::size_t>(hours);
+    std::int64_t covered = 0;
+    std::int64_t gap_start = -1;
+    for (std::int64_t h = 0; h < hours; ++h) {
+      if (bits[h] != 0) {
+        covered += 1;
+        if (gap_start >= 0) {
+          gaps.emplace_back(gap_start, h);
+          gap_start = -1;
         }
+      } else if (gap_start < 0) {
+        gap_start = h;
       }
-      if (gap_start < 0 && scan < hours) gap_start = scan;
-      if (gap_start >= 0) gaps.emplace_back(gap_start, hours);
-      fraction = static_cast<double>(covered) / static_cast<double>(hours);
     }
+    if (gap_start >= 0) gaps.emplace_back(gap_start, hours);
+    fraction = static_cast<double>(covered) / static_cast<double>(hours);
   }
   put_f64(body, fraction);
   put_u32(body, static_cast<std::uint32_t>(gaps.size()));

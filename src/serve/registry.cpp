@@ -28,15 +28,13 @@ std::shared_ptr<ServedSnapshot> ServedSnapshot::load(
   }
 
   if (out->num_hours_ > 0) {
+    // The map checked every window's hour against the meta. Later sections
+    // supersede: a resumed ingest may have re-closed an hour after a torn
+    // tail was truncated.
     out->hour_index_.assign(static_cast<std::size_t>(out->num_hours_), -1);
     for (std::size_t w = 0; w < out->windows_.size(); ++w) {
-      const std::int64_t hour = out->windows_[w].hour;
-      if (hour >= 0 && hour < out->num_hours_) {
-        // Later sections supersede: a resumed ingest may have re-closed an
-        // hour after a torn tail was truncated.
-        out->hour_index_[static_cast<std::size_t>(hour)] =
-            static_cast<std::ptrdiff_t>(w);
-      }
+      out->hour_index_[static_cast<std::size_t>(out->windows_[w].hour)] =
+          static_cast<std::ptrdiff_t>(w);
     }
   }
 

@@ -139,7 +139,8 @@ class SnapshotRegistry {
   }
 
   /// Quarantined publish: like publish_file, but a sealed file that fails
-  /// validation (section CRC mismatch, truncation, unreadable mapping) keeps
+  /// validation (section CRC mismatch, truncation, a section shape that
+  /// disagrees with kStreamMeta, unreadable mapping) keeps
   /// the previous generation serving, bumps degraded_publishes(), records
   /// the error, and returns 0 — the reactor never crashes on a torn publish.
   /// Precondition failures (analytics shape bugs) still throw: those are

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 
 #include "store/crc32c.h"
 #include "store/vfs.h"
@@ -399,6 +400,51 @@ void SnapshotWriter::close() {
 // ---------------------------------------------------------------------------
 // MappedSnapshot
 
+namespace {
+
+/// The one shape rule of the format (DESIGN.md §7.1), or nullptr when `snap`
+/// keeps it: with a kStreamMeta, every study section agrees with the meta,
+/// so a reader may index any section with the meta's shape; without one, a
+/// kCoverage beside a kMatrix has 1 or kMatrix-rows rows.
+const char* shape_error(const MappedSnapshot& snap) {
+  const auto matrix = snap.matrix();
+  const auto coverage = snap.coverage();
+  const auto meta = snap.stream_meta();
+  if (!meta) {
+    return matrix && coverage && coverage->rows != 1 &&
+                   coverage->rows != matrix->rows
+               ? "kCoverage rows differ from kMatrix"
+               : nullptr;
+  }
+  const std::size_t rows = meta->antenna_ids.size();
+  const std::size_t services = meta->num_services;
+  const std::int64_t hours = meta->num_hours;
+  if (rows == 0 || services == 0 || hours <= 0 ||
+      rows > std::numeric_limits<std::size_t>::max() / services) {
+    return "kStreamMeta shape is empty or overflows";
+  }
+  if (matrix && (matrix->rows != rows || matrix->cols != services)) {
+    return "kMatrix shape differs from kStreamMeta";
+  }
+  for (const auto& window : snap.windows()) {
+    if (window.cells.size() != rows * services || window.hour < 0 ||
+        window.hour >= hours) {
+      return "kWindow shape differs from kStreamMeta";
+    }
+  }
+  if (coverage && ((coverage->rows != 1 && coverage->rows != rows) ||
+                   coverage->num_hours != hours)) {
+    return "kCoverage shape differs from kStreamMeta";
+  }
+  const auto quarantine = snap.quarantine();
+  if (quarantine && quarantine->num_hours != hours) {
+    return "kQuarantine shape differs from kStreamMeta";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 MappedSnapshot::MappedSnapshot(const std::string& path, Vfs* vfs) {
   Vfs& v = vfs_or_default(vfs);
   Mapping mapping(path, v);
@@ -406,6 +452,14 @@ MappedSnapshot::MappedSnapshot(const std::string& path, Vfs* vfs) {
   Scan scan = scan_sections(mapping.data(), mapping.size());
   if (!scan.clean) fail(path, scan.error);
   sections_ = std::move(scan.sections);
+  // Checked while `mapping` still owns the region, so a refusal unmaps it.
+  const char* why = nullptr;
+  try {
+    why = shape_error(*this);
+  } catch (const SnapshotError& e) {
+    fail(path, e.what());  // A malformed payload.
+  }
+  if (why != nullptr) fail(path, why);
   vfs_ = &v;
   map_ = mapping.region.data;
   size_ = mapping.region.size;
@@ -508,7 +562,7 @@ std::optional<CoverageSectionView> MappedSnapshot::coverage() const {
   CoverageSectionView view;
   view.rows = static_cast<std::size_t>(get_u64(s->payload.data()));
   view.num_hours = static_cast<std::int64_t>(get_u64(s->payload.data() + 8));
-  if (view.num_hours < 0 ||
+  if (view.rows == 0 || view.num_hours <= 0 ||
       s->payload.size() !=
           16 + view.rows * static_cast<std::size_t>(view.num_hours)) {
     throw SnapshotError("malformed kCoverage payload (size mismatch)");

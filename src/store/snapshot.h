@@ -221,7 +221,9 @@ class SnapshotWriter {
 
 /// Read-only mmap of a snapshot. The constructor validates the header and
 /// every section CRC eagerly and throws SnapshotError on corruption or
-/// truncation; afterwards all accessors are zero-copy views into the mapping
+/// truncation, or when a section's shape disagrees with the kStreamMeta
+/// (DESIGN.md §7.1), so readers may index every section with the meta's
+/// shape; afterwards all accessors are zero-copy views into the mapping
 /// (valid for the lifetime of this object).
 class MappedSnapshot {
  public:

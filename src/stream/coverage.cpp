@@ -14,12 +14,6 @@ CoverageMask::CoverageMask(std::size_t rows, std::int64_t num_hours)
   bits_.assign(rows * static_cast<std::size_t>(num_hours), 0);
 }
 
-CoverageMask CoverageMask::full(std::size_t rows, std::int64_t num_hours) {
-  CoverageMask mask(rows, num_hours);
-  std::fill(mask.bits_.begin(), mask.bits_.end(), std::uint8_t{1});
-  return mask;
-}
-
 bool CoverageMask::covered(std::size_t row, std::int64_t hour) const {
   ICN_REQUIRE(row < rows_, "coverage row index");
   ICN_REQUIRE(hour >= 0 && hour < num_hours_, "coverage hour index");

@@ -28,10 +28,6 @@ class CoverageMask {
   CoverageMask() = default;
   CoverageMask(std::size_t rows, std::int64_t num_hours);
 
-  /// A mask with every cell covered.
-  [[nodiscard]] static CoverageMask full(std::size_t rows,
-                                         std::int64_t num_hours);
-
   [[nodiscard]] bool covered(std::size_t row, std::int64_t hour) const;
 
   /// Copies a per-hour bitmap (0/1 bytes, length num_hours) into one row.

@@ -206,16 +206,4 @@ ResumeInfo recover_checkpoint(const std::string& path, store::Vfs* vfs) {
   return info;
 }
 
-ml::Matrix totals_from_snapshot(const store::MappedSnapshot& snapshot) {
-  const auto meta = snapshot.stream_meta();
-  if (!meta) {
-    throw store::SnapshotError("snapshot has no kStreamMeta section");
-  }
-  ml::Matrix totals(meta->antenna_ids.size(), meta->num_services);
-  for (const auto& window : snapshot.windows()) {
-    add_window_cells(totals, window.cells);
-  }
-  return totals;
-}
-
 }  // namespace icn::stream

@@ -202,10 +202,4 @@ struct ResumeInfo {
 [[nodiscard]] ResumeInfo recover_checkpoint(const std::string& path,
                                             store::Vfs* vfs = nullptr);
 
-/// Rebuilds the (antenna x service) totals matrix from a checkpoint
-/// snapshot's windows — bit-identical to the live ingest totals. Requires a
-/// kStreamMeta section.
-[[nodiscard]] ml::Matrix totals_from_snapshot(
-    const store::MappedSnapshot& snapshot);
-
 }  // namespace icn::stream

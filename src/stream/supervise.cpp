@@ -1,7 +1,6 @@
 #include "stream/supervise.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <numeric>
 #include <optional>
@@ -60,6 +59,48 @@ void truncate_seal_sections(const std::string& path, store::Vfs* vfs) {
   }
   if (!found) return;
   store::vfs_or_default(vfs).truncate(path, seal_at);
+}
+
+/// Stacks per-feed studies into one: rows concatenate in order and the
+/// quarantine counts add up hour by hour. Every part has the first part's
+/// services and hours; antenna ids must be disjoint across parts.
+MergedStudy concatenate(std::span<const MergedStudy> parts) {
+  const std::size_t services = parts.front().traffic.cols();
+  const std::int64_t num_hours = parts.front().coverage.num_hours();
+  const auto hours = static_cast<std::size_t>(num_hours);
+  std::size_t total_rows = 0;
+  for (const auto& part : parts) total_rows += part.traffic.rows();
+
+  MergedStudy study;
+  study.traffic = ml::Matrix(total_rows, services);
+  study.coverage = CoverageMask(total_rows, num_hours);
+  study.quarantine.rejected_by_hour.assign(hours, 0);
+  study.quarantine.repaired_by_hour.assign(hours, 0);
+  std::unordered_set<std::uint32_t> all_ids;
+  std::size_t row0 = 0;
+  for (const auto& part : parts) {
+    for (const std::uint32_t id : part.antenna_ids) {
+      ICN_REQUIRE(all_ids.insert(id).second,
+                  "antenna ids overlap across studies");
+    }
+    study.antenna_ids.insert(study.antenna_ids.end(),
+                             part.antenna_ids.begin(), part.antenna_ids.end());
+    std::copy(part.traffic.data().begin(), part.traffic.data().end(),
+              study.traffic.data().begin() +
+                  static_cast<std::ptrdiff_t>(row0 * services));
+    const std::span<const std::uint8_t> bits = part.coverage.bits();
+    for (std::size_t r = 0; r < part.traffic.rows(); ++r) {
+      study.coverage.set_row(row0 + r, bits.subspan(r * hours, hours));
+    }
+    for (std::size_t h = 0; h < hours; ++h) {
+      study.quarantine.rejected_by_hour[h] +=
+          part.quarantine.rejected_by_hour[h];
+      study.quarantine.repaired_by_hour[h] +=
+          part.quarantine.repaired_by_hour[h];
+    }
+    row0 += part.traffic.rows();
+  }
+  return study;
 }
 
 }  // namespace
@@ -490,39 +531,22 @@ std::span<const std::uint32_t> FeedSupervisor::repaired_by_hour(
 
 MergedStudy FeedSupervisor::merge() const {
   ICN_REQUIRE(finished(), "merge needs every feed done or quarantined");
-  std::size_t total_rows = 0;
-  for (const auto& f : feeds_) total_rows += f->spec.antenna_ids.size();
-
-  MergedStudy study;
-  study.traffic = ml::Matrix(total_rows, params_.num_services);
-  study.coverage = CoverageMask(total_rows, params_.num_hours);
-  const auto hours = static_cast<std::size_t>(params_.num_hours);
-  study.quarantine.rejected_by_hour.assign(hours, 0);
-  study.quarantine.repaired_by_hour.assign(hours, 0);
-  std::size_t row0 = 0;
+  std::vector<MergedStudy> parts;
+  parts.reserve(feeds_.size());
   for (const auto& f : feeds_) {
     const std::size_t rows = f->spec.antenna_ids.size();
-    study.antenna_ids.insert(study.antenna_ids.end(),
-                             f->spec.antenna_ids.begin(),
-                             f->spec.antenna_ids.end());
+    MergedStudy& part = parts.emplace_back();
+    part.antenna_ids = f->spec.antenna_ids;
     // Fold the feed's windows in closing order — bit-identical to the live
     // ingestor's running totals, and it also covers the durable windows a
     // resumed feed preloaded instead of re-ingesting.
-    ml::Matrix totals(rows, params_.num_services);
-    for (const auto& w : f->windows) add_window_cells(totals, w.cells);
-    std::copy(totals.data().begin(), totals.data().end(),
-              study.traffic.data().begin() +
-                  static_cast<std::ptrdiff_t>(row0 * params_.num_services));
-    for (std::size_t r = 0; r < rows; ++r) {
-      study.coverage.set_row(row0 + r, f->covered);
-    }
-    for (std::size_t h = 0; h < hours; ++h) {
-      study.quarantine.rejected_by_hour[h] += f->rejected_by_hour[h];
-      study.quarantine.repaired_by_hour[h] += f->repaired_by_hour[h];
-    }
-    row0 += rows;
+    part.traffic = ml::Matrix(rows, params_.num_services);
+    for (const auto& w : f->windows) add_window_cells(part.traffic, w.cells);
+    part.coverage = CoverageMask(rows, params_.num_hours);
+    for (std::size_t r = 0; r < rows; ++r) part.coverage.set_row(r, f->covered);
+    part.quarantine = {f->rejected_by_hour, f->repaired_by_hour};
   }
-  return study;
+  return concatenate(parts);
 }
 
 std::string to_string(const SupervisorEvent& event) {
@@ -575,122 +599,93 @@ bool QuarantineCounts::any() const {
   return total_rejected() != 0 || total_repaired() != 0;
 }
 
+MergedStudy read_study(const store::MappedSnapshot& snapshot, bool truncated) {
+  const auto meta = snapshot.stream_meta();
+  const auto matrix = snapshot.matrix();
+  if (!meta && !matrix) {
+    throw store::SnapshotError(
+        "snapshot has no kMatrix or kStreamMeta section");
+  }
+  // The map checked every section against the meta, so each is indexed
+  // with the meta's shape below.
+  const auto coverage = snapshot.coverage();
+  const auto windows = snapshot.windows();
+  MergedStudy study;
+  if (matrix) {
+    study.traffic = matrix->to_matrix();
+  } else {
+    study.traffic = ml::Matrix(meta->antenna_ids.size(), meta->num_services);
+    for (const auto& window : windows) {
+      add_window_cells(study.traffic, window.cells);
+    }
+  }
+  const std::size_t rows = study.traffic.rows();
+  if (meta) {
+    study.antenna_ids.assign(meta->antenna_ids.begin(),
+                             meta->antenna_ids.end());
+  } else {
+    study.antenna_ids.resize(rows);
+    std::iota(study.antenna_ids.begin(), study.antenna_ids.end(), 0u);
+  }
+
+  // Without a meta, the hour count only scales the cell totals of a
+  // complete report.
+  const std::int64_t num_hours =
+      meta ? meta->num_hours : coverage ? coverage->num_hours : 1;
+  const auto hours = static_cast<std::size_t>(num_hours);
+  study.coverage = CoverageMask(rows, num_hours);
+  if (coverage) {
+    // One row shared by every antenna (probe-level), or one row each.
+    const std::size_t stride = coverage->rows == 1 ? 0 : hours;
+    for (std::size_t r = 0; r < rows; ++r) {
+      study.coverage.set_row(r, coverage->covered.subspan(r * stride, hours));
+    }
+  } else {
+    // A clean file without kCoverage is fully covered: the supervisor
+    // writes the section only when coverage is incomplete. In a truncated
+    // checkpoint the section (always appended last) was lost with the tail,
+    // so only the hours whose windows survived are provably covered.
+    const bool survivors_only = truncated && meta;
+    std::vector<std::uint8_t> bits(hours, survivors_only ? 0 : 1);
+    if (survivors_only) {
+      for (const auto& window : windows) {
+        bits[static_cast<std::size_t>(window.hour)] = 1;
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) study.coverage.set_row(r, bits);
+  }
+
+  if (const auto q = snapshot.quarantine()) {
+    study.quarantine = {{q->rejected.begin(), q->rejected.end()},
+                        {q->repaired.begin(), q->repaired.end()}};
+  } else {
+    study.quarantine = {std::vector<std::uint32_t>(hours),
+                        std::vector<std::uint32_t>(hours)};
+  }
+  return study;
+}
+
 MergedStudy merge_snapshots(std::span<const std::string> paths,
                             store::Vfs* vfs) {
   ICN_REQUIRE(!paths.empty(), "merge needs snapshots");
-
-  std::vector<store::MappedSnapshot> snaps;
-  std::vector<bool> truncated;
-  snaps.reserve(paths.size());
+  std::vector<MergedStudy> parts;
+  parts.reserve(paths.size());
   for (const auto& path : paths) {
-    truncated.push_back(store::recover_snapshot(path, vfs).truncated);
-    snaps.emplace_back(path, vfs);
-  }
-
-  std::size_t num_services = 0;
-  std::int64_t num_hours = 0;
-  std::size_t total_rows = 0;
-  std::unordered_set<std::uint32_t> all_ids;
-  MergedStudy study;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    const auto meta = snaps[i].stream_meta();
-    if (!meta) {
-      throw store::SnapshotError("snapshot " + paths[i] +
+    const bool truncated = store::recover_snapshot(path, vfs).truncated;
+    const store::MappedSnapshot snapshot(path, vfs);
+    if (!snapshot.stream_meta()) {
+      throw store::SnapshotError("snapshot " + path +
                                  ": no kStreamMeta section");
     }
-    if (i == 0) {
-      num_services = meta->num_services;
-      num_hours = meta->num_hours;
-      ICN_REQUIRE(num_services > 0 && num_hours > 0, "merged study shape");
-    } else if (meta->num_services != num_services ||
-               meta->num_hours != num_hours) {
-      throw store::SnapshotError("snapshot " + paths[i] +
+    parts.push_back(read_study(snapshot, truncated));
+    if (parts.back().traffic.cols() != parts.front().traffic.cols() ||
+        parts.back().coverage.num_hours() !=
+            parts.front().coverage.num_hours()) {
+      throw store::SnapshotError("snapshot " + path +
                                  ": study shape differs from first snapshot");
     }
-    for (const std::uint32_t id : meta->antenna_ids) {
-      ICN_REQUIRE(all_ids.insert(id).second,
-                  "antenna ids overlap across snapshots");
-      study.antenna_ids.push_back(id);
-    }
-    total_rows += meta->antenna_ids.size();
   }
-
-  study.traffic = ml::Matrix(total_rows, num_services);
-  study.coverage = CoverageMask(total_rows, num_hours);
-  study.quarantine.rejected_by_hour.assign(
-      static_cast<std::size_t>(num_hours), 0);
-  study.quarantine.repaired_by_hour.assign(
-      static_cast<std::size_t>(num_hours), 0);
-  std::size_t row0 = 0;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    const auto meta = *snaps[i].stream_meta();
-    const std::size_t rows = meta.antenna_ids.size();
-    const auto windows = snaps[i].windows();
-    for (const auto& window : windows) {
-      if (window.cells.size() != rows * num_services) {
-        throw store::SnapshotError("snapshot " + paths[i] +
-                                   ": window shape mismatch");
-      }
-      const auto out = study.traffic.data();
-      for (std::size_t j = 0; j < window.cells.size(); ++j) {
-        out[row0 * num_services + j] += window.cells[j];
-      }
-    }
-
-    std::vector<std::uint8_t> hours(static_cast<std::size_t>(num_hours), 0);
-    if (const auto cov = snaps[i].coverage()) {
-      if (cov->num_hours != num_hours ||
-          (cov->rows != 1 && cov->rows != rows)) {
-        throw store::SnapshotError("snapshot " + paths[i] +
-                                   ": coverage shape mismatch");
-      }
-      if (cov->rows == 1) {
-        std::copy(cov->covered.begin(), cov->covered.end(), hours.begin());
-        for (std::size_t r = 0; r < rows; ++r) {
-          study.coverage.set_row(row0 + r, hours);
-        }
-      } else {
-        for (std::size_t r = 0; r < rows; ++r) {
-          study.coverage.set_row(
-              row0 + r,
-              cov->covered.subspan(r * static_cast<std::size_t>(num_hours),
-                                   static_cast<std::size_t>(num_hours)));
-        }
-      }
-    } else if (truncated[i]) {
-      // The coverage record (always appended last) was lost with the tail:
-      // only hours whose windows survived are provably covered.
-      for (const auto& window : windows) {
-        if (window.hour >= 0 && window.hour < num_hours) {
-          hours[static_cast<std::size_t>(window.hour)] = 1;
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        study.coverage.set_row(row0 + r, hours);
-      }
-    } else {
-      // A cleanly finished checkpoint without a kCoverage section is a
-      // fully-covered feed (the supervisor writes the section only when
-      // coverage is incomplete).
-      std::fill(hours.begin(), hours.end(), std::uint8_t{1});
-      for (std::size_t r = 0; r < rows; ++r) {
-        study.coverage.set_row(row0 + r, hours);
-      }
-    }
-
-    if (const auto quar = snaps[i].quarantine()) {
-      if (quar->num_hours != num_hours) {
-        throw store::SnapshotError("snapshot " + paths[i] +
-                                   ": quarantine shape mismatch");
-      }
-      for (std::size_t h = 0; h < static_cast<std::size_t>(num_hours); ++h) {
-        study.quarantine.rejected_by_hour[h] += quar->rejected[h];
-        study.quarantine.repaired_by_hour[h] += quar->repaired[h];
-      }
-    }
-    row0 += rows;
-  }
-  return study;
+  return concatenate(parts);
 }
 
 void write_merged_snapshot(const MergedStudy& study, const std::string& path,

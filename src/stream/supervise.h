@@ -167,7 +167,8 @@ struct SupervisorEvent {
 [[nodiscard]] std::string to_string(const SupervisorEvent& event);
 
 /// Per-hour record-quarantine totals of a study (summed across feeds). The
-/// arrays are always sized num_hours; all-zero means a clean run.
+/// arrays are sized num_hours (in a file without kStreamMeta, the
+/// kQuarantine section's own hours); all-zero means a clean run.
 struct QuarantineCounts {
   std::vector<std::uint32_t> rejected_by_hour;
   std::vector<std::uint32_t> repaired_by_hour;
@@ -282,15 +283,28 @@ class FeedSupervisor {
   std::int64_t tick_ = 0;
 };
 
-/// Durable-path merge: recovers each per-probe checkpoint (truncating torn
-/// or corrupted tails), loads its windows, and merges them into the study
-/// tensor. Coverage per feed comes from its kCoverage section when present;
-/// a truncated snapshot without one is credited only for the hours whose
-/// windows survived, and a clean snapshot without one counts as fully
-/// covered. Quarantine counts sum each snapshot's kQuarantine section (a
-/// truncated snapshot that lost it contributes zeros). Requires >= 1 path,
-/// consistent services/hours across snapshots, and globally disjoint antenna
-/// ids.
+/// The one reader that turns a mapped snapshot into a study (DESIGN.md
+/// §8.3); the map has already checked every section against kStreamMeta.
+///  * antenna ids from kStreamMeta, or row indices without one;
+///  * traffic from kMatrix, else the fold of the kWindow sections in file
+///    order (bit-identical to the live ingest totals);
+///  * coverage from kCoverage (one row shared by every antenna, or one row
+///    each), else full; a `truncated` file (recovery dropped its tail, and
+///    with it the kCoverage appended last) is credited only for the hours
+///    whose windows survived;
+///  * quarantine counts from kQuarantine, else zeros;
+///  * hours from the meta, else from kCoverage, else 1.
+/// Throws store::SnapshotError when the file has neither kMatrix nor
+/// kStreamMeta.
+[[nodiscard]] MergedStudy read_study(const store::MappedSnapshot& snapshot,
+                                     bool truncated = false);
+
+/// Durable-path merge: recovers and maps each per-probe checkpoint in turn
+/// (truncating torn or corrupted tails), reads it with read_study, and
+/// stacks the studies as merge() does. Requires >= 1 path; throws
+/// store::SnapshotError when a file has no kStreamMeta or its services or
+/// hours differ from the first file's. Antenna ids must be disjoint across
+/// files.
 [[nodiscard]] MergedStudy merge_snapshots(std::span<const std::string> paths,
                                           store::Vfs* vfs = nullptr);
 

@@ -221,6 +221,24 @@ TEST(SnapshotPipelineTest, SnapshotWithoutTensorIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotPipelineTest, WindowOfAnotherShapeIsASnapshotError) {
+  // A CRC-valid kWindow of 5 cells where kStreamMeta (2 antennas x 3
+  // services) promises 6: the map refuses the file, as promised above,
+  // instead of the window fold failing a precondition.
+  const std::string path = ::testing::TempDir() + "icn_pipeline_skew.snap";
+  std::remove(path.c_str());
+  {
+    store::SnapshotWriter writer(path);
+    writer.append_stream_meta(std::vector<std::uint32_t>{7, 8}, 3, 4);
+    writer.append_window(0, std::vector<double>(5, 1.0));
+    writer.close();
+  }
+  PipelineParams params;
+  EXPECT_THROW(run_pipeline_from_snapshot(path, params),
+               store::SnapshotError);
+  std::remove(path.c_str());
+}
+
 TEST(DegradedPipelineTest, PartialCoverageExcludesAntennasAndReportsGaps) {
   // A merged multi-probe study with injected dropout windows: the pipeline
   // must complete, exclude exactly the under-covered antennas, and report
@@ -243,7 +261,9 @@ TEST(DegradedPipelineTest, PartialCoverageExcludesAntennasAndReportsGaps) {
   for (std::size_t r = 0; r < rows; ++r) {
     study.antenna_ids.push_back(static_cast<std::uint32_t>(1000 + r));
   }
-  study.coverage = stream::CoverageMask::full(rows, hours);
+  study.coverage = stream::CoverageMask(rows, hours);
+  const std::vector<std::uint8_t> full_row(static_cast<std::size_t>(hours), 1);
+  for (std::size_t r = 0; r < rows; ++r) study.coverage.set_row(r, full_row);
   // Row 0: dropout windows [5, 10) and [20, 22) — stays above threshold.
   std::vector<std::uint8_t> row0(static_cast<std::size_t>(hours), 1);
   std::fill(row0.begin() + 5, row0.begin() + 10, 0);

@@ -24,6 +24,7 @@
 #include "fault/plan.h"
 #include "stream/ingest.h"
 #include "stream/supervise.h"
+#include "temp_file.h"
 #include "util/rng.h"
 
 namespace icn::fault {
@@ -33,20 +34,6 @@ constexpr std::size_t kProbes = 4;
 constexpr std::size_t kAntennasPerProbe = 3;
 constexpr std::size_t kServices = 6;
 constexpr std::int64_t kHours = 48;
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_chaos_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint32_t> probe_ids(std::size_t probe) {
   std::vector<std::uint32_t> ids;

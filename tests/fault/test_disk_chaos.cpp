@@ -20,6 +20,7 @@
 #include "stream/feed.h"
 #include "stream/ingest.h"
 #include "stream/supervise.h"
+#include "temp_file.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -33,20 +34,6 @@ using icn::store::VfsFile;
 
 constexpr std::size_t kServices = 3;
 constexpr std::int64_t kHours = 4;
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_disk_" + std::to_string(::getpid()) +
-              "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> read_all(const std::string& path) {
   std::vector<std::uint8_t> out;

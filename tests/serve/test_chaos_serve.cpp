@@ -29,26 +29,12 @@
 #include "serve/command_table.h"
 #include "serve/server.h"
 #include "store/snapshot.h"
+#include "temp_file.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
 namespace icn::serve {
 namespace {
-
-/// Unique file path in the test temp dir; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_chaos_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Snapshot whose contents are a function of `flavor` (mirrors
 /// test_server.cpp), so generations serve distinguishable bytes.
@@ -1132,7 +1118,7 @@ TEST(ServeChaosTest, ChaosSoakByteExactRepliesUnderFaultsAndHotSwaps) {
             break;
         }
         try {
-          const Reply reply = client.call_idempotent(opcode, body, id);
+          const Reply reply = client.call(opcode, body, id);
           Exchange ex;
           const auto frame = build_request(id, opcode, body);
           ex.request.assign(frame.begin() + 4, frame.end());

@@ -1,8 +1,8 @@
 // QueryClient resilience: every transport failure mode surfaces as a typed
 // ClientError (never a hang, crash, or garbage decode), backoff is a pure
-// deterministic function of (options, attempt), call_idempotent() reconnects
-// through injected resets, and the process survives writes into dead sockets
-// (MSG_NOSIGNAL — no SIGPIPE).
+// deterministic function of (options, attempt), call() with more than one
+// attempt reconnects through injected resets, and the process survives
+// writes into dead sockets (MSG_NOSIGNAL — no SIGPIPE).
 #include "serve/client.h"
 
 #include <gtest/gtest.h>
@@ -264,12 +264,12 @@ TEST(QueryClientResilienceTest, CallIdempotentReconnectsThroughReset) {
   options.backoff_max_ms = 4;
   QueryClient client(server.port(), options);
   // First call: served before the planned lifetime elapses.
-  const Reply first = client.call_idempotent(Opcode::kPing, {}, 1);
+  const Reply first = client.call(Opcode::kPing, {}, 1);
   EXPECT_EQ(first.status, Status::kOk);
   // Let the reactor tick past the planned lifetime so the next I/O on the
   // faulty transport hits the injected reset.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const Reply second = client.call_idempotent(Opcode::kPing, {}, 2);
+  const Reply second = client.call(Opcode::kPing, {}, 2);
   EXPECT_EQ(second.status, Status::kOk);
   EXPECT_GE(client.reconnects(), 1u);
 

@@ -19,24 +19,10 @@
 #include "serve/command_table.h"
 #include "serve/registry.h"
 #include "store/snapshot.h"
+#include "temp_file.h"
 
 namespace icn::serve {
 namespace {
-
-/// Unique file path in the test temp dir; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_serve_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Writes a small but fully-featured snapshot: meta, windows, matrix,
 /// coverage (with gaps), quarantine.

@@ -14,7 +14,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -28,26 +27,12 @@
 #include "serve/client.h"
 #include "serve/command_table.h"
 #include "store/snapshot.h"
+#include "temp_file.h"
 #include "util/bytes.h"
 #include "util/error.h"
 
 namespace icn::serve {
 namespace {
-
-/// Unique file path in the test temp dir; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_serve_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Writes a snapshot whose contents are a function of `flavor`, so
 /// different generations in the hot-swap tests serve different bytes.
@@ -365,12 +350,10 @@ TEST(ServeServerTest, EnvConfigRejectsGarbage) {
   ::unsetenv("ICN_SERVE_RATE");
 }
 
-// --- Mismatched-section hardening ----------------------------------------
+// --- Mismatched sections -------------------------------------------------
 
 /// Writes a snapshot whose kMatrix and kCoverage shapes deliberately
-/// disagree with kStreamMeta. Every section is only self-validated, so the
-/// command table must bound each access with the section's own dims, never
-/// the meta-derived shape the request arguments were range-checked against.
+/// disagree with kStreamMeta (every section CRC-valid).
 void write_skewed_snapshot(const std::string& path) {
   store::SnapshotWriter writer(path);
   const std::vector<std::uint32_t> ids{101, 102, 103, 104, 105};
@@ -400,72 +383,34 @@ std::pair<std::vector<std::uint8_t>, std::optional<Reply>> table_call(
   return {std::move(out), reply};
 }
 
-TEST(ServeCommandTableTest, SliceTotalsBoundsAgainstMatrixOwnDims) {
-  TempFile file("skewed_matrix.snap");
-  write_skewed_snapshot(file.path());
-  const auto snap = ServedSnapshot::load(file.path());
-  ASSERT_EQ(snap->num_antennas(), 5u);  // Meta shape...
-  ASSERT_EQ(snap->matrix()->rows, 2u);  // ...the matrix disagrees with.
+TEST(ServeCommandTableTest, SkewedSnapshotIsRefusedAndPriorGenerationServes) {
+  // The map refuses a file whose sections disagree with its kStreamMeta, so
+  // no handler can index a section with a shape it does not have: the
+  // publish is quarantined and generation 1 keeps serving.
+  TempFile prior("skew_prior.snap");
+  write_flavored_snapshot(prior.path(), 1);
+  TempFile skewed("skewed.snap");
+  write_skewed_snapshot(skewed.path());
+  EXPECT_THROW((void)ServedSnapshot::load(skewed.path()),
+               store::SnapshotError);
 
-  // A row valid per the meta but past the matrix reads as zeros, not as an
-  // out-of-bounds walk off the mapping.
-  auto [raw1, reply1] =
-      table_call(*snap, 1, Opcode::kSlice,
-                 make_slice_body(4, kAllServices, kTotalsHours, kTotalsHours));
-  ASSERT_TRUE(reply1.has_value());
-  ASSERT_EQ(reply1->status, Status::kOk);
-  ASSERT_EQ(reply1->body.size(), 8u + 3 * 8u);
-  std::array<double, 3> values{};
-  std::memcpy(values.data(), reply1->body.data() + 8, 3 * 8);
-  EXPECT_EQ(values, (std::array<double, 3>{0.0, 0.0, 0.0}));
+  SnapshotRegistry registry;
+  ASSERT_EQ(registry.publish_file(prior.path()), 1u);
+  EXPECT_EQ(registry.try_publish_file(skewed.path()), 0u);
+  EXPECT_EQ(registry.generation(), 1u);
+  EXPECT_EQ(registry.degraded_publishes(), 1u);
+  EXPECT_NE(registry.last_publish_error().find("kMatrix"), std::string::npos)
+      << registry.last_publish_error();
 
-  // A row inside the matrix serves its cells; meta services past the
-  // matrix's columns read as zeros.
-  auto [raw2, reply2] =
-      table_call(*snap, 2, Opcode::kSlice,
-                 make_slice_body(1, kAllServices, kTotalsHours, kTotalsHours));
-  ASSERT_TRUE(reply2.has_value());
-  ASSERT_EQ(reply2->status, Status::kOk);
-  ASSERT_EQ(reply2->body.size(), 8u + 3 * 8u);
-  std::memcpy(values.data(), reply2->body.data() + 8, 3 * 8);
-  EXPECT_EQ(values, (std::array<double, 3>{3.0, 4.0, 0.0}));
-
-  // A single requested service past the matrix's columns reads as zero.
-  auto [raw3, reply3] =
-      table_call(*snap, 3, Opcode::kSlice,
-                 make_slice_body(0, 2, kTotalsHours, kTotalsHours));
-  ASSERT_TRUE(reply3.has_value());
-  ASSERT_EQ(reply3->status, Status::kOk);
-  ASSERT_EQ(reply3->body.size(), 8u + 8u);
-  double one = -1.0;
-  std::memcpy(&one, reply3->body.data() + 8, 8);
-  EXPECT_EQ(one, 0.0);
-}
-
-TEST(ServeCommandTableTest, CoverageUsesSectionOwnHourStride) {
-  TempFile file("skewed_cov.snap");
-  write_skewed_snapshot(file.path());
-  const auto snap = ServedSnapshot::load(file.path());
-  ASSERT_EQ(snap->num_hours(), 8);
-  ASSERT_EQ(snap->coverage()->num_hours, 4);
-
+  const auto head = registry.acquire();
+  ASSERT_NE(head, nullptr);
   const auto [raw, reply] =
-      table_call(*snap, 1, Opcode::kCoverage, make_coverage_body(4));
+      table_call(*head, 1, Opcode::kSlice,
+                 make_slice_body(4, kAllServices, kTotalsHours, kTotalsHours));
   ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->status, Status::kOk);
-  ASSERT_GE(reply->body.size(), 12u);
-  double fraction = 0.0;
-  std::memcpy(&fraction, reply->body.data(), 8);
-  std::uint32_t gap_count = 0;
-  std::memcpy(&gap_count, reply->body.data() + 8, 4);
-  // With the section's own 4-hour stride, row 4's bitmap covers hours
-  // {0, 2, 3}; meta hours 4..8 have no bitmap and read as uncovered. A
-  // meta-derived stride would have scanned rows 8..9, which do not exist.
-  EXPECT_EQ(fraction, 3.0 / 8.0);
-  ASSERT_EQ(gap_count, 2u);
-  std::array<std::int64_t, 4> bounds{};
-  std::memcpy(bounds.data(), reply->body.data() + 12, 4 * 8);
-  EXPECT_EQ(bounds, (std::array<std::int64_t, 4>{1, 2, 4, 8}));
+  EXPECT_EQ(reply->status, Status::kOk);
+  EXPECT_EQ(reply->generation, 1u);
+  EXPECT_EQ(reply->body.size(), 8u + 3 * 8u);
 }
 
 TEST(ServeCommandTableTest, SliceHourExtremesGetTypedRejects) {

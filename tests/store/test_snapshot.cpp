@@ -10,30 +10,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "store/crc32c.h"
+#include "temp_file.h"
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace icn::store {
 namespace {
-
-/// Unique file path in the test temp dir; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_snapshot_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -308,6 +295,118 @@ TEST(SnapshotTest, CoverageSectionRejectsBadShapes) {
   const std::vector<std::uint8_t> not_binary = {1, 0, 2};
   EXPECT_THROW(writer.append_coverage(1, 3, not_binary),
                icn::util::PreconditionError);
+}
+
+// --- The shape rule: every study section agrees with kStreamMeta ---------
+
+/// Writes a file with `fill` (every section CRC-valid) and expects the map
+/// to refuse it with a SnapshotError naming the file and `section`.
+void expect_refused(const TempFile& file,
+                    const std::function<void(SnapshotWriter&)>& fill,
+                    const std::string& section) {
+  {
+    SnapshotWriter writer(file.path());
+    fill(writer);
+    writer.sync();
+  }
+  try {
+    (void)MappedSnapshot(file.path());
+    ADD_FAILURE() << "mapped a file whose " << section << " breaks the rule";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+    EXPECT_NE(what.find(section), std::string::npos) << what;
+  }
+}
+
+const std::vector<std::uint32_t> kSkewIds = {7, 8};  // 2 antennas.
+
+TEST(SnapshotShapeTest, MapRefusesAMetaWithoutServicesOrHours) {
+  TempFile file("skew_meta_empty");
+  expect_refused(
+      file, [](SnapshotWriter& w) { w.append_stream_meta(kSkewIds, 0, 4); },
+      "kStreamMeta");
+  expect_refused(
+      file, [](SnapshotWriter& w) { w.append_stream_meta(kSkewIds, 3, 0); },
+      "kStreamMeta");
+}
+
+TEST(SnapshotShapeTest, MapRefusesAMetaWhoseCellCountOverflows) {
+  // 2 x 2^63 cells wraps to 0 in size_t.
+  TempFile file("skew_meta_overflow");
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, std::size_t{1} << 63, 4);
+                 },
+                 "kStreamMeta");
+}
+
+TEST(SnapshotShapeTest, MapRefusesAMatrixOfAnotherShape) {
+  TempFile file("skew_matrix");
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, 3, 4);
+                   w.append_matrix(ml::Matrix(2, 2));
+                 },
+                 "kMatrix");
+}
+
+TEST(SnapshotShapeTest, MapRefusesAWindowOfAnotherCellCount) {
+  TempFile file("skew_window_cells");
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, 3, 4);
+                   w.append_window(0, std::vector<double>(6, 1.0));
+                   w.append_window(1, std::vector<double>(5, 1.0));
+                 },
+                 "kWindow");
+}
+
+TEST(SnapshotShapeTest, MapRefusesAWindowOutsideTheMetaHours) {
+  TempFile file("skew_window_hour");
+  for (const std::int64_t hour : {std::int64_t{-1}, std::int64_t{4}}) {
+    expect_refused(file,
+                   [hour](SnapshotWriter& w) {
+                     w.append_stream_meta(kSkewIds, 3, 4);
+                     w.append_window(hour, std::vector<double>(6, 1.0));
+                   },
+                   "kWindow");
+  }
+}
+
+TEST(SnapshotShapeTest, MapRefusesCoverageOfAnotherShape) {
+  TempFile file("skew_coverage");
+  // Neither 1 nor 2 rows; then 2 rows of 3 hours against the meta's 4.
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, 3, 4);
+                   w.append_coverage(3, 4, std::vector<std::uint8_t>(12, 1));
+                 },
+                 "kCoverage");
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, 3, 4);
+                   w.append_coverage(2, 3, std::vector<std::uint8_t>(6, 1));
+                 },
+                 "kCoverage");
+  // Without a meta, the rows of a kCoverage beside a kMatrix.
+  expect_refused(file,
+                 [](SnapshotWriter& w) {
+                   w.append_matrix(ml::Matrix(2, 3));
+                   w.append_coverage(3, 4, std::vector<std::uint8_t>(12, 1));
+                 },
+                 "kCoverage");
+}
+
+TEST(SnapshotShapeTest, MapRefusesQuarantineOfAnotherHourCount) {
+  TempFile file("skew_quarantine");
+  const std::vector<std::uint32_t> counts = {1, 0, 2};
+  expect_refused(file,
+                 [&counts](SnapshotWriter& w) {
+                   w.append_stream_meta(kSkewIds, 3, 4);
+                   w.append_quarantine(3, counts, counts);
+                 },
+                 "kQuarantine");
 }
 
 TEST(SnapshotTest, SectionIndexReportsOffsetsAndSizes) {

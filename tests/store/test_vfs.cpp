@@ -13,24 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "temp_file.h"
 #include "util/error.h"
 
 namespace icn::store {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_vfs_" + std::to_string(::getpid()) +
-              "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> bytes_of(const std::string& text) {
   return {text.begin(), text.end()};

@@ -16,6 +16,8 @@
 
 #include "core/forecast.h"
 #include "probe/aggregate.h"
+#include "stream/supervise.h"
+#include "temp_file.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -29,20 +31,6 @@ using icn::probe::ServiceSession;
 constexpr std::size_t kServices = 4;
 constexpr std::int64_t kHours = 12;
 const std::vector<std::uint32_t> kIds = {2, 5, 11, 17, 23, 42};
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_ingest_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Deterministic sessions for one hour; a few carry an untracked antenna.
 std::vector<ServiceSession> hour_sessions(std::int64_t hour,
@@ -355,12 +343,12 @@ TEST(StreamCheckpointTest, KilledIngestResumesFromLastDurableWindow) {
           << "window " << wa[i].hour << " slot " << j;
     }
   }
-  expect_matrices_equal(totals_from_snapshot(a), totals_from_snapshot(b));
+  expect_matrices_equal(read_study(a).traffic, read_study(b).traffic);
 
   // And both equal the batch aggregator over the same stream.
   HourlyAggregator batch(kIds, kServices, kHours);
   batch.add_all(full_stream(seed));
-  expect_matrices_equal(totals_from_snapshot(a), batch.traffic_matrix());
+  expect_matrices_equal(read_study(a).traffic, batch.traffic_matrix());
 }
 
 TEST(StreamCheckpointTest, ForecastFromSnapshotIsBitIdentical) {

@@ -16,6 +16,7 @@
 
 #include "stream/feed.h"
 #include "stream/ingest.h"
+#include "temp_file.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -24,20 +25,6 @@ namespace {
 
 constexpr std::size_t kServices = 5;
 constexpr std::int64_t kHours = 16;
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name)
-      : path_(::testing::TempDir() + "icn_supervisor_" +
-              std::to_string(::getpid()) + "_" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -623,6 +610,48 @@ TEST(FeedSupervisorTest, ResumeRegeneratesSealSectionsOfFinishedFeeds) {
   EXPECT_TRUE(want.coverage == got.coverage);
   EXPECT_TRUE(want.quarantine == got.quarantine);
   EXPECT_TRUE(resumed.quarantine_ledger() == reference.quarantine_ledger());
+}
+
+TEST(FeedSupervisorTest, ResumeStartsFreshOverACheckpointTheMapRefuses) {
+  // A finished checkpoint with one CRC-valid kWindow of the wrong size
+  // appended. The map refuses it, so the feed starts fresh — a checkpoint
+  // destroyed beyond use — and converges on the uninterrupted run instead
+  // of failing the merge.
+  const std::vector<std::uint32_t> ids = {7, 8};
+  const auto script = hourly_script(probe_sessions(ids, 10), kHours);
+
+  TempFile ref("skew_ref.snap");
+  VectorFeed ref_feed{script};
+  FeedSupervisor reference(base_params(),
+                           {{"probe-0", ids, &ref_feed, ref.path()}});
+  reference.run();
+
+  TempFile skewed("skew_resume.snap");
+  {
+    VectorFeed feed{script};
+    FeedSupervisor first(base_params(),
+                         {{"probe-0", ids, &feed, skewed.path()}});
+    first.run();
+  }
+  {
+    auto writer = store::SnapshotWriter::append_to(skewed.path());
+    writer.append_window(kHours - 1,
+                         std::vector<double>(ids.size() * kServices - 1, 1.0));
+    writer.sync();
+  }
+  VectorFeed replay{script};
+  FeedSupervisor resumed = FeedSupervisor::resume(
+      base_params(), {{"probe-0", ids, &replay, skewed.path()}});
+  resumed.run();
+
+  ASSERT_TRUE(resumed.finished());
+  EXPECT_EQ(read_file(ref.path()), read_file(skewed.path()));
+  const MergedStudy want = reference.merge();
+  const MergedStudy got = resumed.merge();
+  EXPECT_EQ(want.antenna_ids, got.antenna_ids);
+  expect_matrices_equal(want.traffic, got.traffic);
+  EXPECT_TRUE(want.coverage == got.coverage);
+  EXPECT_TRUE(want.quarantine == got.quarantine);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 //
 //   0  clean: header + every section valid, no trailing bytes
 //   1  torn: valid prefix followed by garbage — recoverable by truncation
-//   2  unusable: the file header itself is missing or corrupt
+//   2  unusable: the file header itself is missing or corrupt, or the
+//      readers refuse a clean file (a section's shape disagrees with its
+//      kStreamMeta)
 //   3  I/O error: file missing or unreadable
 //   4  usage error
 //
@@ -63,6 +65,12 @@ int check_one(const std::string& path, bool quiet) {
     }
   }
   if (report.clean) {
+    try {
+      (void)icn::store::MappedSnapshot(path);
+    } catch (const icn::store::SnapshotError& err) {
+      std::printf("%s: UNUSABLE: %s\n", path.c_str(), err.what());
+      return 2;
+    }
     std::printf("%s: CLEAN: %zu section(s), %" PRIu64 " byte(s)\n",
                 path.c_str(), report.sections.size(), report.file_size);
     return 0;
@@ -91,7 +99,7 @@ int main(int argc, char** argv) {
   if (arg >= argc) {
     std::fprintf(stderr,
                  "usage: icn_fsck [-q] <snapshot>...\n"
-                 "exit: 0 clean, 1 torn (recoverable), 2 unusable header,\n"
+                 "exit: 0 clean, 1 torn (recoverable), 2 unusable,\n"
                  "      3 I/O error, 4 usage\n");
     return 4;
   }

@@ -343,13 +343,7 @@ int main(int argc, char** argv) {
 
   try {
     icn::serve::QueryClient client(port, options);
-    // Every query here is an idempotent read (repin only refreshes the
-    // session's generation pin), so the retrying path is safe whenever the
-    // user asked for more than one attempt.
-    const icn::serve::Reply reply =
-        options.max_attempts > 1
-            ? client.call_idempotent(opcode, request_body, 1)
-            : client.call(opcode, request_body, 1);
+    const icn::serve::Reply reply = client.call(opcode, request_body, 1);
     return print_reply(opcode, all_rows, reply);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "icn_query: %s\n", e.what());
