@@ -352,22 +352,19 @@ TEST(ServeServerTest, EnvConfigRejectsGarbage) {
 
 // --- Mismatched sections -------------------------------------------------
 
-/// Writes a snapshot whose kMatrix and kCoverage shapes deliberately
-/// disagree with kStreamMeta (every section CRC-valid).
-void write_skewed_snapshot(const std::string& path) {
+/// Writes a snapshot (every section CRC-valid) whose kMatrix or kCoverage,
+/// as `skewed` names, disagrees with its kStreamMeta of 5 antennas, 3
+/// services and 8 hours; the other section agrees with the meta.
+void write_skewed_snapshot(const std::string& path,
+                           store::SectionType skewed) {
   store::SnapshotWriter writer(path);
   const std::vector<std::uint32_t> ids{101, 102, 103, 104, 105};
   writer.append_stream_meta(ids, 3, 8);
-  ml::Matrix totals(2, 2);  // Smaller than the meta's 5 x 3.
-  totals(0, 0) = 1.0;
-  totals(0, 1) = 2.0;
-  totals(1, 0) = 3.0;
-  totals(1, 1) = 4.0;
-  writer.append_matrix(totals);
-  // Per-antenna coverage over 4 hours against the meta's 8.
-  std::vector<std::uint8_t> covered(5 * 4, 1);
-  covered[4 * 4 + 1] = 0;  // Row 4, hour 1: the only in-bitmap gap.
-  writer.append_coverage(5, 4, covered);
+  const bool matrix = skewed == store::SectionType::kMatrix;
+  writer.append_matrix(ml::Matrix(matrix ? 2 : 5, matrix ? 2 : 3, 1.0));
+  const std::size_t hours = matrix ? 8 : 4;  // 4 against the meta's 8.
+  writer.append_coverage(5, static_cast<std::int64_t>(hours),
+                         std::vector<std::uint8_t>(5 * hours, 1));
   writer.sync();
 }
 
@@ -383,34 +380,52 @@ std::pair<std::vector<std::uint8_t>, std::optional<Reply>> table_call(
   return {std::move(out), reply};
 }
 
-TEST(ServeCommandTableTest, SkewedSnapshotIsRefusedAndPriorGenerationServes) {
-  // The map refuses a file whose sections disagree with its kStreamMeta, so
-  // no handler can index a section with a shape it does not have: the
-  // publish is quarantined and generation 1 keeps serving.
+/// Publishes `skewed` over a good generation 1 and checks that the map
+/// refuses it with an error naming `section`: the publish is quarantined and
+/// generation 1 answers `body` with `reply_size` bytes.
+void expect_skew_refused(const std::string& skewed, const char* section,
+                         Opcode opcode, std::span<const std::uint8_t> body,
+                         std::size_t reply_size) {
   TempFile prior("skew_prior.snap");
   write_flavored_snapshot(prior.path(), 1);
-  TempFile skewed("skewed.snap");
-  write_skewed_snapshot(skewed.path());
-  EXPECT_THROW((void)ServedSnapshot::load(skewed.path()),
-               store::SnapshotError);
+  EXPECT_THROW((void)ServedSnapshot::load(skewed), store::SnapshotError);
 
   SnapshotRegistry registry;
   ASSERT_EQ(registry.publish_file(prior.path()), 1u);
-  EXPECT_EQ(registry.try_publish_file(skewed.path()), 0u);
+  EXPECT_EQ(registry.try_publish_file(skewed), 0u);
   EXPECT_EQ(registry.generation(), 1u);
   EXPECT_EQ(registry.degraded_publishes(), 1u);
-  EXPECT_NE(registry.last_publish_error().find("kMatrix"), std::string::npos)
+  EXPECT_NE(registry.last_publish_error().find(section), std::string::npos)
       << registry.last_publish_error();
 
   const auto head = registry.acquire();
   ASSERT_NE(head, nullptr);
-  const auto [raw, reply] =
-      table_call(*head, 1, Opcode::kSlice,
-                 make_slice_body(4, kAllServices, kTotalsHours, kTotalsHours));
+  const auto [raw, reply] = table_call(*head, 1, opcode, body);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kOk);
   EXPECT_EQ(reply->generation, 1u);
-  EXPECT_EQ(reply->body.size(), 8u + 3 * 8u);
+  EXPECT_EQ(reply->body.size(), reply_size);
+}
+
+TEST(ServeCommandTableTest, SliceTotalsBoundsAgainstMatrixOwnDims) {
+  // A kMatrix smaller than the meta's 5 x 3 is refused where the file is
+  // mapped, so no slice can index it with the meta's shape: row 4, valid
+  // per the meta, is answered by generation 1.
+  TempFile file("skewed_matrix.snap");
+  write_skewed_snapshot(file.path(), store::SectionType::kMatrix);
+  expect_skew_refused(
+      file.path(), "kMatrix", Opcode::kSlice,
+      make_slice_body(4, kAllServices, kTotalsHours, kTotalsHours),
+      8u + 3 * 8u);
+}
+
+TEST(ServeCommandTableTest, CoverageUsesSectionOwnHourStride) {
+  // A kCoverage of 4 hours against the meta's 8 is refused where the file
+  // is mapped, so the coverage scan always strides by the meta's hours.
+  TempFile file("skewed_cov.snap");
+  write_skewed_snapshot(file.path(), store::SectionType::kCoverage);
+  expect_skew_refused(file.path(), "kCoverage", Opcode::kCoverage,
+                      make_coverage_body(4), 12u);
 }
 
 TEST(ServeCommandTableTest, SliceHourExtremesGetTypedRejects) {
