@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/distance.h"
 #include "ml/metrics.h"
 #include "util/error.h"
 
@@ -17,16 +16,16 @@ ClusterAnalysisResult analyze_clusters(const ml::Matrix& features,
   ClusterAnalysisResult result;
   result.dendrogram = ml::agglomerative_cluster(features, params.linkage);
 
-  // One pairwise-distance computation serves every k of the sweep.
-  const ml::CondensedDistances dist(features);
-  result.sweep.reserve(params.k_max - params.k_min + 1);
+  // One pass over the features scores every cut of the sweep.
+  std::vector<std::vector<int>> cuts;
   for (std::size_t k = params.k_min; k <= params.k_max; ++k) {
-    const auto labels = result.dendrogram.cut(k);
-    KSelectionPoint point;
-    point.k = k;
-    point.silhouette = ml::silhouette_score(dist, labels);
-    point.dunn = ml::dunn_index(dist, labels);
-    result.sweep.push_back(point);
+    cuts.push_back(result.dendrogram.cut(k));
+  }
+  const auto validity = ml::validity_sweep(features, cuts);
+  result.sweep.reserve(cuts.size());
+  for (std::size_t t = 0; t < cuts.size(); ++t) {
+    result.sweep.push_back(
+        {params.k_min + t, validity[t].silhouette, validity[t].dunn});
   }
 
   result.chosen_k =

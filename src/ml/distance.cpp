@@ -155,6 +155,47 @@ double vector_sum(std::span<const double> xs) {
   return acc;
 }
 
+namespace {
+
+/// out[j - j0] = squared Euclidean distance from row `ri` to row j of `base`
+/// (m doubles a row), or its square root unless `squared`, for j in
+/// [j0, j1): the per-row pair loop of fill_condensed and fill_distance_rows.
+/// Four consecutive columns share one pass over row `ri` via the x4 kernel
+/// (independent accumulator chains); each output is byte-identical to the
+/// single-pair kernel, so the grouping never decides a bit.
+void pair_run(const double* ri, const double* base, std::size_t m,
+              std::size_t j0, std::size_t j1, bool squared, double* out) {
+  static const auto kernel_x4 = icn::util::pick_kernel(
+      detail::squared_euclidean_x4_scalar, detail::squared_euclidean_x4_avx2);
+  static const auto kernel = icn::util::pick_kernel(
+      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
+  std::size_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    double q[4];
+    kernel_x4(ri, base + j * m, m, m, q);
+    double* o = out + (j - j0);
+    if (squared) {
+      o[0] = q[0];
+      o[1] = q[1];
+      o[2] = q[2];
+      o[3] = q[3];
+    } else {
+      // sqrt is correctly rounded, so taking it here (instead of inside each
+      // kernel) cannot change bits.
+      o[0] = std::sqrt(q[0]);
+      o[1] = std::sqrt(q[1]);
+      o[2] = std::sqrt(q[2]);
+      o[3] = std::sqrt(q[3]);
+    }
+  }
+  for (; j < j1; ++j) {
+    const double q = kernel(ri, base + j * m, m);
+    out[j - j0] = squared ? q : std::sqrt(q);
+  }
+}
+
+}  // namespace
+
 void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
                     std::size_t tile) {
   const std::size_t n = x.rows();
@@ -162,10 +203,6 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
   ICN_REQUIRE(tile >= 1, "fill_condensed tile must be >= 1");
   ICN_REQUIRE(out.size() == n * (n - 1) / 2, "fill_condensed output length");
   if (n < 2) return;
-  static const auto kernel_x4 = icn::util::pick_kernel(
-      detail::squared_euclidean_x4_scalar, detail::squared_euclidean_x4_avx2);
-  static const auto kernel = icn::util::pick_kernel(
-      detail::squared_euclidean_scalar, detail::squared_euclidean_avx2);
   const double* base = x.data().data();
   double* d = out.data();
   const auto index = [n](std::size_t i, std::size_t j) {
@@ -188,40 +225,37 @@ void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
             const std::size_t c0 = t * tile;
             const std::size_t c1 = std::min(c0 + tile, n);
             for (std::size_t i = r0; i < r1; ++i) {
-              const double* ri = base + i * m;
               // Row i's first stored pair is (i, i+1); pair (i, j) sits
               // j - (i+1) slots after it.
-              double* row_out = d + index(i, i + 1);
-              std::size_t j = std::max(i + 1, c0);
-              // Four consecutive columns share one pass over row i via the
-              // x4 kernel (independent accumulator chains); each output is
-              // byte-identical to the single-pair kernel.
-              for (; j + 4 <= c1; j += 4) {
-                double q[4];
-                kernel_x4(ri, base + j * m, m, m, q);
-                double* o = row_out + (j - i - 1);
-                if (squared) {
-                  o[0] = q[0];
-                  o[1] = q[1];
-                  o[2] = q[2];
-                  o[3] = q[3];
-                } else {
-                  // sqrt is correctly rounded, so taking it here (instead of
-                  // inside each kernel) cannot change bits.
-                  o[0] = std::sqrt(q[0]);
-                  o[1] = std::sqrt(q[1]);
-                  o[2] = std::sqrt(q[2]);
-                  o[3] = std::sqrt(q[3]);
-                }
-              }
-              for (; j < c1; ++j) {
-                const double q = kernel(ri, base + j * m, m);
-                row_out[j - i - 1] = squared ? q : std::sqrt(q);
+              const std::size_t j0 = std::max(i + 1, c0);
+              if (j0 < c1) {
+                pair_run(base + i * m, base, m, j0, c1, squared,
+                         d + index(i, i + 1) + (j0 - i - 1));
               }
             }
           }
         }
       });
+}
+
+void fill_distance_rows(const Matrix& x, std::size_t lo, std::size_t hi,
+                        std::span<double> out) {
+  const std::size_t n = x.rows();
+  const std::size_t m = x.cols();
+  ICN_REQUIRE(lo <= hi && hi <= n, "fill_distance_rows row range");
+  ICN_REQUIRE(out.size() == (hi - lo) * n,
+              "fill_distance_rows output length");
+  const double* base = x.data().data();
+  // Column tiles as in fill_condensed: one tile of rows stays cache-resident
+  // while every row of [lo, hi) passes over it.
+  for (std::size_t c0 = 0; c0 < n; c0 += kDefaultDistanceTile) {
+    const std::size_t c1 = std::min(c0 + kDefaultDistanceTile, n);
+    for (std::size_t i = lo; i < hi; ++i) {
+      pair_run(base + i * m, base, m, c0, c1, /*squared=*/false,
+               out.data() + (i - lo) * n + c0);
+    }
+  }
+  for (std::size_t i = lo; i < hi; ++i) out[(i - lo) * n + i] = 0.0;
 }
 
 CondensedDistances::CondensedDistances(const Matrix& x, std::size_t tile)

@@ -77,6 +77,16 @@ inline constexpr std::size_t kDefaultDistanceTile = 64;
 void fill_condensed(const Matrix& x, bool squared, std::span<double> out,
                     std::size_t tile = kDefaultDistanceTile);
 
+/// Fills `out` (length (hi - lo) * n, row-major) with the full Euclidean
+/// distance rows of X's rows [lo, hi): out[(i - lo) * n + j] = d(i, j) for
+/// every j, with d(i, i) = 0. Runs serially (callers parallelise over row
+/// ranges). Each value is byte-identical to CondensedDistances(x)(i, j),
+/// also for j < i: the condensed fill computes kernel(x_j, x_i) there, and
+/// swapping the operands only negates each difference before it is
+/// squared. Requires lo <= hi <= X.rows().
+void fill_distance_rows(const Matrix& x, std::size_t lo, std::size_t hi,
+                        std::span<double> out);
+
 /// Upper-triangle (i < j) pairwise Euclidean distances of the rows of X,
 /// stored condensed in double (N = 4,762 -> ~90 MB) so lookups agree exactly
 /// with the double-precision working distances of the linkage code. Built by

@@ -27,6 +27,51 @@ std::vector<std::size_t> cluster_counts(std::span<const int> labels) {
   return counts;
 }
 
+/// s(i) from row i's per-cluster distance sums (sums[c] = sum of d(i, j)
+/// over j != i with labels[j] == c): 0 for a singleton, and 0 when a and b
+/// are both 0.
+double point_silhouette(const double* sums,
+                        std::span<const std::size_t> counts, std::size_t own) {
+  if (counts[own] == 1) return 0.0;
+  const double a = sums[own] / static_cast<double>(counts[own] - 1);
+  double b = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    if (c == own) continue;
+    b = std::min(b, sums[c] / static_cast<double>(counts[c]));
+  }
+  const double denom = std::max(a, b);
+  return denom > 0.0 ? (b - a) / denom : 0.0;
+}
+
+/// Serial sum in index order, divided by the count.
+double mean_in_order(std::span<const double> s) {
+  double total = 0.0;
+  for (const double v : s) total += v;
+  return total / static_cast<double>(s.size());
+}
+
+/// Running Dunn extrema. labeled_extrema never lets a NaN into them, so
+/// min/max fold to the same values under any grouping of the rows.
+struct Extrema {
+  double min_inter = std::numeric_limits<double>::infinity();
+  double max_diam = 0.0;
+};
+
+Extrema fold(Extrema acc, const Extrema& e) {
+  acc.min_inter = std::min(acc.min_inter, e.min_inter);
+  acc.max_diam = std::max(acc.max_diam, e.max_diam);
+  return acc;
+}
+
+double dunn_from(const Extrema& e) {
+  if (e.max_diam == 0.0) return std::numeric_limits<double>::infinity();
+  return e.min_inter / e.max_diam;
+}
+
+/// Rows per chunk of the validity sweep: the chunk's full distance rows
+/// (kSweepChunk * n doubles) are its only O(n) buffer.
+constexpr std::size_t kSweepChunk = 16;
+
 }  // namespace
 
 double silhouette_score(const CondensedDistances& dist,
@@ -66,24 +111,11 @@ double silhouette_score(const CondensedDistances& dist,
       }
     }
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto own = static_cast<std::size_t>(labels[i]);
-      if (counts[own] == 1) {
-        continue;  // s(i) = 0 for singletons
-      }
-      const double* row = &sums[i * k];
-      const double a = row[own] / static_cast<double>(counts[own] - 1);
-      double b = std::numeric_limits<double>::infinity();
-      for (std::size_t c = 0; c < k; ++c) {
-        if (c == own) continue;
-        b = std::min(b, row[c] / static_cast<double>(counts[c]));
-      }
-      const double denom = std::max(a, b);
-      if (denom > 0.0) s[i] = (b - a) / denom;
+      s[i] = point_silhouette(&sums[i * k], counts,
+                              static_cast<std::size_t>(labels[i]));
     }
   });
-  double total = 0.0;
-  for (const double v : s) total += v;
-  return total / static_cast<double>(n);
+  return mean_in_order(s);
 }
 
 double dunn_index(const CondensedDistances& dist,
@@ -91,13 +123,7 @@ double dunn_index(const CondensedDistances& dist,
   ICN_REQUIRE(labels.size() == dist.size(), "labels vs distances size");
   (void)cluster_counts(labels);
   const std::size_t n = labels.size();
-  // Min/max reductions are order-independent, so per-chunk extrema combined
-  // in any order give the exact serial result.
-  struct Extrema {
-    double min_inter = std::numeric_limits<double>::infinity();
-    double max_diam = 0.0;
-  };
-  const Extrema ex = icn::util::parallel_reduce(
+  return dunn_from(icn::util::parallel_reduce(
       std::size_t{0}, n, 8, Extrema{},
       [&](std::size_t lo, std::size_t hi) {
         Extrema e;
@@ -107,13 +133,78 @@ double dunn_index(const CondensedDistances& dist,
         }
         return e;
       },
-      [](Extrema acc, Extrema e) {
-        acc.min_inter = std::min(acc.min_inter, e.min_inter);
-        acc.max_diam = std::max(acc.max_diam, e.max_diam);
+      fold));
+}
+
+std::vector<ClusterValidity> validity_sweep(
+    const Matrix& x, std::span<const std::vector<int>> cuts) {
+  if (cuts.empty()) return {};
+  const std::size_t n = x.rows();
+  std::vector<std::vector<std::size_t>> counts;
+  counts.reserve(cuts.size());
+  std::size_t max_k = 0;
+  for (const std::vector<int>& cut : cuts) {
+    ICN_REQUIRE(cut.size() == n, "labels vs matrix size");
+    counts.push_back(cluster_counts(cut));
+    max_k = std::max(max_k, counts.back().size());
+  }
+  const std::size_t num_cuts = cuts.size();
+  // Each chunk of kSweepChunk rows computes its rows' full distance rows once
+  // and scores every cut from them; no pairwise matrix is held. Per cut the
+  // chunk repeats silhouette_score's steps on the same values (see
+  // fill_distance_rows): the forward labeled_sums call on row i's tail, then
+  // the j < i terms in ascending j — read from row i's own distance row
+  // instead of earlier rows' tails — so every sum cell gets the same adds in
+  // the same order, and each row's sums live only in its chunk. s(i) is kept
+  // per (cut, row) and summed serially in index order. The Dunn extrema come
+  // from dunn_index's labeled_extrema calls on the same tails, folded per
+  // chunk.
+  std::vector<double> s(num_cuts * n);
+  const std::vector<Extrema> extrema = icn::util::parallel_reduce(
+      std::size_t{0}, n, kSweepChunk, std::vector<Extrema>(num_cuts),
+      [&](std::size_t lo, std::size_t hi) {
+        const std::size_t rows = hi - lo;
+        std::vector<double> d(rows * n);
+        fill_distance_rows(x, lo, hi, d);
+        std::vector<double> sums(rows * max_k);
+        std::vector<Extrema> ex(num_cuts);
+        for (std::size_t c = 0; c < num_cuts; ++c) {
+          const std::span<const int> labels = cuts[c];
+          const std::size_t k = counts[c].size();
+          std::fill_n(sums.begin(), rows * k, 0.0);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const std::span<const double> tail(
+                d.data() + (i - lo) * n + i + 1, n - i - 1);
+            labeled_sums(tail, labels.subspan(i + 1), k, &sums[(i - lo) * k]);
+            labeled_extrema(tail, labels.subspan(i + 1), labels[i],
+                            &ex[c].min_inter, &ex[c].max_diam);
+          }
+          for (std::size_t j = 0; j + 1 < hi; ++j) {
+            const auto cj = static_cast<std::size_t>(labels[j]);
+            for (std::size_t i = std::max(j + 1, lo); i < hi; ++i) {
+              sums[(i - lo) * k + cj] += d[(i - lo) * n + j];
+            }
+          }
+          for (std::size_t i = lo; i < hi; ++i) {
+            s[c * n + i] = point_silhouette(
+                &sums[(i - lo) * k], counts[c],
+                static_cast<std::size_t>(labels[i]));
+          }
+        }
+        return ex;
+      },
+      [](std::vector<Extrema> acc, const std::vector<Extrema>& ex) {
+        for (std::size_t c = 0; c < acc.size(); ++c) {
+          acc[c] = fold(acc[c], ex[c]);
+        }
         return acc;
       });
-  if (ex.max_diam == 0.0) return std::numeric_limits<double>::infinity();
-  return ex.min_inter / ex.max_diam;
+  std::vector<ClusterValidity> out(num_cuts);
+  for (std::size_t c = 0; c < num_cuts; ++c) {
+    out[c].silhouette = mean_in_order({&s[c * n], n});
+    out[c].dunn = dunn_from(extrema[c]);
+  }
+  return out;
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "ml/distance.h"
 #include "ml/matrix.h"
@@ -25,6 +26,23 @@ namespace icn::ml {
 /// cluster is a singleton (zero diameter).
 [[nodiscard]] double dunn_index(const CondensedDistances& dist,
                                 std::span<const int> labels);
+
+/// Silhouette score and Dunn index of one clustering.
+struct ClusterValidity {
+  double silhouette = 0.0;
+  double dunn = 0.0;
+};
+
+/// silhouette_score and dunn_index of every cut (one label per row of X), in
+/// cut order, byte-identical to the per-cut functions over
+/// CondensedDistances(x) at any thread count, without holding that matrix:
+/// rows run in fixed chunks that compute their full distance rows
+/// (fill_distance_rows) and score every cut from them, so memory grows
+/// linearly in X.rows(). Each cut has silhouette_score's preconditions
+/// (X.rows() labels in [0, k), no empty cluster, k >= 2). An empty `cuts`
+/// gives an empty result.
+[[nodiscard]] std::vector<ClusterValidity> validity_sweep(
+    const Matrix& x, std::span<const std::vector<int>> cuts);
 
 /// Davies-Bouldin index: mean over clusters of the worst
 /// (scatter_i + scatter_j) / centroid-distance ratio. Lower is better;

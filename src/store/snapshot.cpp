@@ -35,6 +35,14 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   std::memcpy(out.data() + at, &v, 8);
 }
 
+/// Appends the bytes of `values`. An empty span adds nothing; its data() may
+/// be null, which memcpy must never see, so the bytes go in through insert.
+template <typename T>
+void put_bytes(std::vector<std::uint8_t>& out, std::span<const T> values) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+  out.insert(out.end(), bytes, bytes + values.size_bytes());
+}
+
 std::uint32_t get_u32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
@@ -312,9 +320,7 @@ void SnapshotWriter::append_matrix(const ml::Matrix& m) {
   payload.reserve(16 + m.data().size() * 8);
   put_u64(payload, m.rows());
   put_u64(payload, m.cols());
-  const auto at = payload.size();
-  payload.resize(at + m.data().size() * 8);
-  std::memcpy(payload.data() + at, m.data().data(), m.data().size() * 8);
+  put_bytes(payload, std::span<const double>(m.data()));
   append_section(SectionType::kMatrix, payload);
 }
 
@@ -326,9 +332,7 @@ void SnapshotWriter::append_stream_meta(
   put_u64(payload, antenna_ids.size());
   put_u64(payload, num_services);
   put_u64(payload, static_cast<std::uint64_t>(num_hours));
-  const auto at = payload.size();
-  payload.resize(at + antenna_ids.size() * 4);
-  std::memcpy(payload.data() + at, antenna_ids.data(), antenna_ids.size() * 4);
+  put_bytes(payload, antenna_ids);
   append_section(SectionType::kStreamMeta, payload);
 }
 
@@ -337,9 +341,7 @@ void SnapshotWriter::append_window(std::int64_t hour,
   std::vector<std::uint8_t> payload;
   payload.reserve(8 + cells.size() * 8);
   put_u64(payload, static_cast<std::uint64_t>(hour));
-  const auto at = payload.size();
-  payload.resize(at + cells.size() * 8);
-  std::memcpy(payload.data() + at, cells.data(), cells.size() * 8);
+  put_bytes(payload, cells);
   append_section(SectionType::kWindow, payload);
 }
 
@@ -355,7 +357,7 @@ void SnapshotWriter::append_coverage(std::size_t rows, std::int64_t num_hours,
   payload.reserve(16 + covered.size());
   put_u64(payload, rows);
   put_u64(payload, static_cast<std::uint64_t>(num_hours));
-  payload.insert(payload.end(), covered.begin(), covered.end());
+  put_bytes(payload, covered);
   append_section(SectionType::kCoverage, payload);
 }
 
@@ -369,10 +371,8 @@ void SnapshotWriter::append_quarantine(std::int64_t num_hours,
   std::vector<std::uint8_t> payload;
   payload.reserve(8 + hours * 8);
   put_u64(payload, static_cast<std::uint64_t>(num_hours));
-  auto at = payload.size();
-  payload.resize(at + hours * 8);
-  std::memcpy(payload.data() + at, rejected.data(), hours * 4);
-  std::memcpy(payload.data() + at + hours * 4, repaired.data(), hours * 4);
+  put_bytes(payload, rejected);
+  put_bytes(payload, repaired);
   append_section(SectionType::kQuarantine, payload);
 }
 

@@ -1,9 +1,10 @@
 // Bit parity of the restructured analysis stages against their reference
 // implementations, at several thread counts: the memoised tree-major
-// TreeSHAP walk against the per-row recursion, and the dense x4 Ward scan
-// against the slot scan. Every comparison is memcmp, not a tolerance. The
-// suite also runs under ICN_SIMD=scalar (tests/CMakeLists.txt), so both
-// kernel lanes are covered.
+// TreeSHAP walk against the per-row recursion, the dense x4 Ward scan
+// against the slot scan, and the one-pass validity sweep against per-cut
+// silhouette_score/dunn_index over a condensed matrix. Every comparison is
+// memcmp, not a tolerance. The suite also runs under ICN_SIMD=scalar
+// (tests/CMakeLists.txt), so both kernel lanes are covered.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +13,13 @@
 #include <cstring>
 #include <vector>
 
+#include "ml/distance.h"
 #include "ml/forest.h"
 #include "ml/linkage.h"
 #include "ml/matrix.h"
+#include "ml/metrics.h"
 #include "ml/treeshap.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -191,6 +195,136 @@ TEST(LinkageTest, WardDenseScanMatchesSlotScanReferenceBitForBit) {
       }
     }
   }
+}
+
+/// n x m rows around a few Gaussian centres, every fifth row an exact copy
+/// of an earlier one, so some distances are exactly 0.
+Matrix blob_rows(std::size_t n, std::size_t m, std::uint64_t seed) {
+  icn::util::Rng rng(seed);
+  Matrix centres(4, m);
+  for (auto& v : centres.data()) v = rng.uniform(-4.0, 4.0);
+  Matrix x(n, m);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t src = r % 5 == 4 ? rng.uniform_index(r) : r;
+    const std::size_t centre = rng.uniform_index(4);
+    for (std::size_t f = 0; f < m; ++f) {
+      x(r, f) = src == r ? centres(centre, f) + rng.normal() : x(src, f);
+    }
+  }
+  return x;
+}
+
+/// A cut of n rows into k clusters drawn at random (so not nested in any
+/// other cut), each cluster seeded by one row at a random position.
+std::vector<int> random_cut(std::size_t n, int k, icn::util::Rng& rng) {
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = i < static_cast<std::size_t>(k)
+                    ? static_cast<int>(i)
+                    : static_cast<int>(rng.uniform_index(
+                          static_cast<std::uint64_t>(k)));
+  }
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(labels[i - 1], labels[rng.uniform_index(i)]);
+  }
+  return labels;
+}
+
+TEST(DistanceRowsTest, MatchCondensedDistancesBitForBit) {
+  // Rows on both sides of the diagonal, n and m off multiples of 4 and 64.
+  for (const std::size_t n : {1u, 5u, 67u, 130u}) {
+    for (const std::size_t m : {1u, 3u, 73u}) {
+      const Matrix x = blob_rows(n, m, 10 * n + m);
+      const CondensedDistances dist(x);
+      for (const std::size_t lo : {std::size_t{0}, n / 3, n - 1}) {
+        const std::size_t hi = std::min(n, lo + 17);
+        std::vector<double> rows((hi - lo) * n, -1.0);
+        fill_distance_rows(x, lo, hi, rows);
+        for (std::size_t i = lo; i < hi; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const double want = dist(i, j);
+            ASSERT_EQ(std::memcmp(&rows[(i - lo) * n + j], &want,
+                                  sizeof(double)),
+                      0)
+                << "n " << n << " m " << m << " d(" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ValiditySweepTest, MatchesPerCutReferenceBitForBit) {
+  // n = 3, 17, 257 and 1000 are not multiples of 4 or of the 16-row chunk;
+  // m = 1, 3 and 73 cover the distance kernels' tails. Each cut set holds
+  // the nested Ward cuts k = 2..15, cuts that are not nested, one with a
+  // singleton cluster, and k up to 15 (past the AVX2 kernel's first
+  // 8-cluster group).
+  for (const std::size_t n : {3u, 17u, 257u, 1000u}) {
+    for (const std::size_t m : {1u, 3u, 73u}) {
+      const Matrix x = blob_rows(n, m, 1000 * n + m);
+      const Dendrogram ward = agglomerative_cluster(x, Linkage::kWard);
+      std::vector<std::vector<int>> cuts;
+      for (std::size_t k = 2; k <= std::min<std::size_t>(15, n); ++k) {
+        cuts.push_back(ward.cut(k));
+      }
+      icn::util::Rng rng(n + m);
+      for (const int k : {2, 5, 12}) {
+        if (static_cast<std::size_t>(k) <= n) {
+          cuts.push_back(random_cut(n, k, rng));
+        }
+      }
+      std::vector<int> singleton(n);
+      for (std::size_t i = 0; i < n; ++i) singleton[i] = i < n / 2 ? 0 : 1;
+      singleton[n / 2] = 2;
+      cuts.push_back(singleton);
+
+      const CondensedDistances dist(x);
+      std::vector<ClusterValidity> want;
+      for (const auto& cut : cuts) {
+        want.push_back({silhouette_score(dist, cut), dunn_index(dist, cut)});
+      }
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n " << n << " m " << m << " threads " << threads);
+        ThreadPool::ScopedOverride pool(threads);
+        const std::vector<ClusterValidity> got = validity_sweep(x, cuts);
+        ASSERT_EQ(got.size(), cuts.size());
+        for (std::size_t c = 0; c < cuts.size(); ++c) {
+          ASSERT_EQ(std::memcmp(&got[c].silhouette, &want[c].silhouette,
+                                sizeof(double)),
+                    0)
+              << "cut " << c << ": " << got[c].silhouette << " vs "
+              << want[c].silhouette;
+          ASSERT_EQ(
+              std::memcmp(&got[c].dunn, &want[c].dunn, sizeof(double)), 0)
+              << "cut " << c << ": " << got[c].dunn << " vs " << want[c].dunn;
+        }
+      }
+    }
+  }
+}
+
+TEST(ValiditySweepTest, RejectsWhatSilhouetteScoreRejects) {
+  const Matrix x = blob_rows(6, 3, 7);
+  const CondensedDistances dist(x);
+  const std::vector<int> good = {0, 1, 0, 1, 0, 1};
+  const std::vector<std::vector<int>> bad = {
+      {0, 1, 0, 1, 0},     // wrong size
+      {0, 2, 0, 2, 0, 2},  // cluster 1 empty
+      {0, 0, 0, 0, 0, 0},  // a single cluster
+      {0, 1, -1, 1, 0, 1},  // negative label
+  };
+  for (const auto& cut : bad) {
+    EXPECT_THROW((void)silhouette_score(dist, cut),
+                 icn::util::PreconditionError);
+    const std::vector<std::vector<int>> alone = {cut};
+    const std::vector<std::vector<int>> after_a_good_one = {good, cut};
+    EXPECT_THROW((void)validity_sweep(x, alone), icn::util::PreconditionError);
+    EXPECT_THROW((void)validity_sweep(x, after_a_good_one),
+                 icn::util::PreconditionError);
+  }
+  EXPECT_TRUE(validity_sweep(x, {}).empty());
 }
 
 }  // namespace

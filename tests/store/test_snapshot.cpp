@@ -128,6 +128,30 @@ TEST(SnapshotTest, StreamMetaAndWindowsRoundTrip) {
   }
 }
 
+TEST(SnapshotTest, EmptySectionsWriteAndScanClean) {
+  // An empty matrix, a meta without antennas and a window without cells:
+  // each span's data() may be null, which the writer must not pass to
+  // memcpy (a -fsanitize=undefined build reports it as undefined).
+  TempFile file("empty_sections");
+  {
+    SnapshotWriter writer(file.path());
+    writer.append_matrix(ml::Matrix(0, 0));
+    writer.append_stream_meta({}, 3, 4);
+    writer.append_window(0, {});
+    writer.sync();
+  }
+  const ScanReport report = scan_snapshot(file.path());
+  EXPECT_TRUE(report.clean) << report.error;
+  EXPECT_EQ(report.valid_bytes, report.file_size);
+  ASSERT_EQ(report.sections.size(), 3u);
+  EXPECT_EQ(report.sections[0].type, SectionType::kMatrix);
+  EXPECT_EQ(report.sections[0].payload_size, 16u);  // rows, cols
+  EXPECT_EQ(report.sections[1].type, SectionType::kStreamMeta);
+  EXPECT_EQ(report.sections[1].payload_size, 24u);  // count, services, hours
+  EXPECT_EQ(report.sections[2].type, SectionType::kWindow);
+  EXPECT_EQ(report.sections[2].payload_size, 8u);  // hour
+}
+
 TEST(SnapshotTest, HeaderOnlyFileIsValidAndEmpty) {
   TempFile file("header_only");
   { SnapshotWriter writer(file.path()); }
