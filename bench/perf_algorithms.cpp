@@ -1,6 +1,6 @@
 // Performance microbenches (google-benchmark) for the core algorithms:
-// Ward NN-chain scaling, silhouette, the one-pass validity sweep of the k
-// selection, RCA/RSCA transform throughput,
+// Ward NN-chain scaling, silhouette, Dunn, the one-pass validity sweep of
+// the k selection, RCA/RSCA transform throughput,
 // random-forest training, TreeSHAP per explanation and per batch, the
 // probe-path aggregation throughput, the scalar and AVX2 SIMD kernels
 // (distance, x4 row-batched distance, labeled sums), the scalar RSCA row
@@ -115,10 +115,21 @@ BENCHMARK(BM_SilhouetteScoreThreads)
     ->ArgsProduct({{2000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
+void BM_DunnIndex(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const ml::Matrix x = random_features(n, 73);
+  const auto labels = random_labels(n, 9);
+  const ml::CondensedDistances dist(x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ml::dunn_index(dist, labels));
+  }
+}
+BENCHMARK(BM_DunnIndex)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 // Silhouette and Dunn of 14 cuts (k = 2..15) in one pass over the features,
-// with no condensed matrix: the analysis's k sweep. The per-cut path it
-// replaced costs BM_CondensedDistances plus 14 x (BM_SilhouetteScore + one
-// Dunn pass).
+// with no condensed matrix: the analysis's k sweep. The per-cut reference
+// costs BM_CondensedDistances plus 14 x (BM_SilhouetteScore +
+// BM_DunnIndex).
 void BM_ValiditySweep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ml::Matrix x = random_features(n, 73);
